@@ -54,17 +54,15 @@ from .kernels import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    NoConvergenceError,
     NotPositiveDefiniteError,
     SingularMatrixError,
-    SpectralRadius,
     Tolerances,
     as_covariance,
     as_square_matrix,
     cholesky,
     invert,
     is_nonneg,
-    spectral_radius,
+    transience_bound,
 )
 from .simulate import (
     ChainSpec,
@@ -83,15 +81,13 @@ __all__ = [
     # linalg
     "Tolerances",
     "DEFAULT_TOL",
-    "SpectralRadius",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
-    "NoConvergenceError",
     "as_square_matrix",
     "as_covariance",
     "cholesky",
     "invert",
-    "spectral_radius",
+    "transience_bound",
     "is_nonneg",
     # criteria
     "Signature",

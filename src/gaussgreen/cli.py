@@ -6,9 +6,11 @@ decomposition file), ``laplace`` (determinant formula vs Monte-Carlo),
 ``zoo`` (generate covariance families), ``sweep`` (verdict table over a
 family parameter grid).
 
-Exit codes: 0 definite verdict / success, 1 input error (parse failure or
-matrix not positive definite), 2 indeterminate at the working tolerance,
-3 decomposition requested for a non-ID covariance.
+Exit codes: 0 definite verdict / success, 1 input error (parse failure,
+matrix not positive definite, invalid chain file), 2 indeterminate at the
+working tolerance, 3 decomposition requested for a non-ID covariance,
+4 internal numerical failure (a constructed decomposition violated one of
+its own identities).
 
 All reports are JSON with sorted keys; identical configuration produces
 byte-identical output (timings never enter reports).  Indices in reports
@@ -32,7 +34,13 @@ from .criteria import (
     classify_green,
     is_id_square,
 )
-from .decomposition import decompose, reconstruct
+from .decomposition import (
+    NonPositiveScalingError,
+    NumericalFailureError,
+    SymmetryViolationError,
+    decompose,
+    reconstruct,
+)
 from .kernels import (
     brownian_cov,
     fbm_cov,
@@ -41,8 +49,21 @@ from .kernels import (
     sheet_cov,
     sheet_counterexample,
 )
-from .linalg import NotPositiveDefiniteError, SingularMatrixError, Tolerances
-from .simulate import ChainSpec, laplace_exact, laplace_mc, simulate_ct_green, simulate_green
+from .linalg import (
+    NotPositiveDefiniteError,
+    SingularMatrixError,
+    Tolerances,
+    cholesky,
+    invert,
+)
+from .simulate import (
+    ChainSpec,
+    InvalidChainError,
+    laplace_exact,
+    laplace_mc,
+    simulate_ct_green,
+    simulate_green,
+)
 
 SCHEMA_PREFIX = "gaussgreen"
 INDETERMINATE_FACTOR = 10.0
@@ -160,8 +181,10 @@ def _tolerances(args) -> Tolerances:
 def cmd_check(args) -> int:
     G = load_matrix(args.input, args.format)
     tol = _tolerances(args)
-    cls = classify_green(G, tol)
-    relaxed = classify_green(G, tol.scaled(INDETERMINATE_FACTOR))
+    # Both passes share eps_psd, hence the Cholesky factor and the inverse.
+    inverse = invert(G, tol, factor=cholesky(G, tol))
+    cls = classify_green(G, tol, inverse=inverse)
+    relaxed = classify_green(G, tol.scaled(INDETERMINATE_FACTOR), inverse=inverse)
     verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"
 
     margins = dict(cls.verdict.margins)
@@ -472,9 +495,13 @@ def main(argv=None) -> int:
         print(f"error: input matrix is not positive definite ({err})",
               file=sys.stderr)
         return 1
-    except (SingularMatrixError, ValueError) as err:
+    except (SingularMatrixError, InvalidChainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except (NumericalFailureError, NonPositiveScalingError,
+            SymmetryViolationError) as err:
+        print(f"error: internal numerical failure ({err})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ infinitely divisible square exactly when some ±1 diagonal conjugation turns
 This module certifies or refutes that property with explicit witnesses:
 
 * :func:`is_m_matrix` produces an ``(c, B)`` splitting certificate with a
-  certified spectral-radius bracket, or a typed failure.
+  certified spectral-radius bracket, or a typed failure.  The bracket comes
+  from the positive vector ``u = A⁻¹ 𝟙``, which ``A`` maps to ``𝟙``: a
+  Z-matrix with such a vector is a nonsingular M-matrix, and the
+  Collatz–Wielandt ratios ``(B u)_i / u_i`` enclose ``rho(B)``.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle / entry witness.
@@ -30,7 +33,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    NoConvergenceError,
     SingularMatrixError,
     Tolerances,
     as_covariance,
@@ -38,7 +40,6 @@ from .linalg import (
     cholesky,
     invert,
     is_nonneg,
-    spectral_radius,
 )
 
 __all__ = [
@@ -95,7 +96,6 @@ class MMatrixCert:
 
     c: float
     B: np.ndarray
-    rho_estimate: float
     rho_lower: float
     rho_upper: float
     inv_min_entry: float
@@ -104,6 +104,13 @@ class MMatrixCert:
     @property
     def ok(self) -> bool:
         return True
+
+    @property
+    def rho_estimate(self) -> float:
+        """``rho(B)`` from a dense eigensolver; no decision uses it."""
+        if self.B.size == 0:
+            return 0.0
+        return float(np.abs(np.linalg.eigvals(self.B)).max())
 
 
 @dataclass(frozen=True)
@@ -182,13 +189,19 @@ class GreenClassification:
     row_sums: np.ndarray | None = None
 
 
-def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
+def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
     """Certify ``A`` as a nonsingular M-matrix or explain the failure.
 
     Checks, in order: off-diagonals nonpositive within the zero band;
     nonsingularity and entrywise nonnegativity of the inverse; and the
-    splitting ``A = c I - B`` with ``c = max_i A_ii`` and a certified
-    ``rho(B) < c``.  Returns :class:`MMatrixCert` or :class:`MMatrixFailure`.
+    splitting ``A = c I - B`` with ``c = max_i A_ii`` and ``rho(B) < c``,
+    certified by the Collatz–Wielandt ratios of ``u = A⁻¹ 𝟙``.  Returns
+    :class:`MMatrixCert` or :class:`MMatrixFailure`.
+
+    Parameters
+    ----------
+    inverse : array_like, optional
+        Precomputed ``A⁻¹`` to reuse instead of inverting ``A``.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -203,21 +216,27 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
                 "offdiag_positive", (int(i), int(j)), float(A[i, j])
             )
 
-    try:
-        Ainv = invert(A, tol)
-    except SingularMatrixError:
-        return MMatrixFailure("singular")
+    if inverse is None:
+        try:
+            Ainv = invert(A, tol)
+        except SingularMatrixError:
+            return MMatrixFailure("singular")
+    else:
+        Ainv = as_square_matrix(inverse)
     check = is_nonneg(Ainv, tol.zero_threshold(Ainv))
     if not check.ok:
         return MMatrixFailure("inverse_negative", check.index, check.min_value)
 
     c = float(A.diagonal().max())
     B = c * np.eye(n) - A
-    try:
-        sr = spectral_radius(B)
-        rho_lower, rho_upper, rho_est = sr.lower, sr.upper, sr.estimate
-    except NoConvergenceError as err:
-        rho_lower, rho_upper, rho_est = 0.0, err.gershgorin, err.gershgorin
+    u = Ainv.sum(axis=1)
+    if u.min() <= 0.0:
+        # No positive vector to bound rho(B) with; only zero-band noise in
+        # the inverse can get here.
+        return MMatrixFailure("spectral_gap", None, None)
+    ratios = (B @ u) / u
+    rho_lower = max(0.0, float(ratios.min()))
+    rho_upper = float(ratios.max())
     if rho_upper >= c + thr:
         # Mathematically impossible once (i) and (ii) hold; reaching this
         # point means the instance is undecidable at the current band.
@@ -225,7 +244,6 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
     return MMatrixCert(
         c=c,
         B=B,
-        rho_estimate=rho_est,
         rho_lower=rho_lower,
         rho_upper=rho_upper,
         inv_min_entry=check.min_value,
@@ -233,14 +251,19 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
     )
 
 
+def _covariance_inverse(G, tol: Tolerances) -> np.ndarray:
+    """``G⁻¹`` from the Cholesky factor that certifies definiteness."""
+    return invert(G, tol, factor=cholesky(G, tol))
+
+
 def _contradiction_cycle(parents, i, j):
     """Closed node path through BFS parents joining the clashing edge (i, j)."""
     path_i = [i]
-    while parents[path_i[-1]] is not None:
-        path_i.append(parents[path_i[-1]])
+    while parents[path_i[-1]] >= 0:
+        path_i.append(int(parents[path_i[-1]]))
     path_j = [j]
-    while parents[path_j[-1]] is not None:
-        path_j.append(parents[path_j[-1]])
+    while parents[path_j[-1]] >= 0:
+        path_j.append(int(parents[path_j[-1]]))
     pos_j = {v: k for k, v in enumerate(path_j)}
     lca_i = next(k for k, v in enumerate(path_i) if v in pos_j)
     lca_j = pos_j[path_i[lca_i]]
@@ -260,28 +283,30 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL, inverse=None):
     Parameters
     ----------
     G : array_like
-        Symmetric positive definite covariance; definiteness is certified
-        by Cholesky and failures propagate as
+        Symmetric positive definite covariance; without ``inverse``,
+        definiteness is certified by Cholesky and failures propagate as
         :class:`~gaussgreen.linalg.NotPositiveDefiniteError`.
     inverse : array_like, optional
-        Precomputed ``G⁻¹`` to reuse.
+        Precomputed ``G⁻¹`` to reuse; the caller vouches for definiteness,
+        e.g. by inverting through the factor of
+        :func:`~gaussgreen.linalg.cholesky`.
 
     Returns
     -------
     Signature or NoSignature
     """
     G = as_covariance(G, tol)
-    cholesky(G, tol)
-    A = invert(G, tol) if inverse is None else as_square_matrix(inverse)
+    A = _covariance_inverse(G, tol) if inverse is None else as_square_matrix(inverse)
     A = 0.5 * (A + A.T)  # kill roundoff asymmetry so edges are symmetric
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
 
     adjacency = np.abs(A) > thr_a
     np.fill_diagonal(adjacency, False)
+    forced_sign = -np.sign(A).astype(int)
 
     signs = np.zeros(n, dtype=int)
-    parents: list[int | None] = [None] * n
+    parents = np.full(n, -1)
     components = []
     for root in range(n):
         if signs[root] != 0:
@@ -291,22 +316,26 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL, inverse=None):
         queue = deque([root])
         while queue:
             i = queue.popleft()
-            for j in np.flatnonzero(adjacency[i]):
-                forced = -int(np.sign(A[i, j])) * signs[i]
-                if signs[j] == 0:
-                    signs[j] = forced
-                    parents[j] = i
-                    comp.append(int(j))
-                    queue.append(int(j))
-                elif signs[j] != forced:
-                    cycle = _contradiction_cycle(parents, i, int(j))
-                    culprit = _worst_positive_edge(A, cycle, thr_a)
-                    return NoSignature(
-                        "cycle",
-                        index=culprit,
-                        value=float(A[culprit]),
-                        cycle=cycle,
-                    )
+            nbrs = np.flatnonzero(adjacency[i])
+            forced = forced_sign[i, nbrs] * signs[i]
+            current = signs[nbrs]
+            clash = (current != 0) & (current != forced)
+            if clash.any():
+                j = int(nbrs[np.argmax(clash)])
+                cycle = _contradiction_cycle(parents, i, j)
+                culprit = _worst_positive_edge(A, cycle, thr_a)
+                return NoSignature(
+                    "cycle",
+                    index=culprit,
+                    value=float(A[culprit]),
+                    cycle=cycle,
+                )
+            fresh = current == 0
+            new = nbrs[fresh]
+            signs[new] = forced[fresh]
+            parents[new] = i
+            comp.extend(new.tolist())
+            queue.extend(new.tolist())
         components.append(tuple(comp))
 
     sig = Signature(signs=signs, components=tuple(components))
@@ -335,30 +364,33 @@ def _worst_positive_edge(A, cycle, thr):
     return best
 
 
-def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
+def is_id_square(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> IdVerdict:
     """Decide whether the squared Gaussian vector with covariance ``G`` is
     infinitely divisible.
 
     Composes :func:`find_signature` with :func:`is_m_matrix` on the
-    conjugated inverse; the verdict carries the winning signature plus
-    certificate, or the witness that defeated every signature, along with
-    the numerical margins the decision rested on.
+    conjugated inverse, whose own inverse is the conjugated covariance
+    ``S G S``; the verdict carries the winning signature plus certificate,
+    or the witness that defeated every signature, along with the numerical
+    margins the decision rested on.  ``inverse`` is a precomputed ``G⁻¹``
+    as in :func:`find_signature`.
     """
     G = as_covariance(G, tol)
-    sig = find_signature(G, tol)
+    if inverse is None:
+        inverse = _covariance_inverse(G, tol)
+    sig = find_signature(G, tol, inverse=inverse)
     if isinstance(sig, NoSignature):
-        A = invert(G, tol)
         margins = {
-            "zero_threshold": tol.zero_threshold(A),
+            "zero_threshold": tol.zero_threshold(inverse),
             "witness_value": sig.value,
         }
         return IdVerdict(False, witness=sig, margins=margins)
 
-    conj_inv = sig.conjugate(invert(G, tol))
-    result = is_m_matrix(conj_inv, tol)
+    conj_inv = sig.conjugate(inverse)
+    conj_cov = sig.conjugate(G)
+    result = is_m_matrix(conj_inv, tol, inverse=conj_cov)
     off = conj_inv.copy()
     np.fill_diagonal(off, -np.inf)
-    conj_cov = sig.conjugate(G)
     margins = {
         "zero_threshold": tol.zero_threshold(conj_inv),
         "max_offdiagonal": float(off.max()) if G.shape[0] > 1 else 0.0,
@@ -414,22 +446,24 @@ def is_diag_dominant(A, eps_zero: float) -> DominanceCheck:
     return DominanceCheck(ok, row_sums)
 
 
-def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
+def classify_green(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> GreenClassification:
     """Sort a covariance into green / id_not_green / not_id.
 
     ``green`` demands that ``G⁻¹`` is an M-matrix with the trivial
     signature *and* has nonnegative row sums; then ``G`` itself is the
     visit-count matrix of a killed Markov chain.  Covariances with an
     infinitely divisible square that miss either extra condition are
-    ``id_not_green``.
+    ``id_not_green``.  ``inverse`` is a precomputed ``G⁻¹`` as in
+    :func:`find_signature`.
     """
     G = as_covariance(G, tol)
-    verdict = is_id_square(G, tol)
+    if inverse is None:
+        inverse = _covariance_inverse(G, tol)
+    verdict = is_id_square(G, tol, inverse=inverse)
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)
 
-    A = invert(G, tol)
-    dominance = is_diag_dominant(A, tol.zero_threshold(A))
+    dominance = is_diag_dominant(inverse, tol.zero_threshold(inverse))
     # A nontrivial signature can only arise from a positive off-diagonal of
     # G^-1, which the direct M-matrix test would reject; so the verdict's
     # certificate doubles as the trivial-signature certificate.

@@ -7,9 +7,10 @@ instance count as zero, everything outside keeps its sign.  The band is
 scaled by the magnitude of the matrix under test, so the default behaves
 like ``1e-10 * max(1, |A|_max)``.
 
-Positive definiteness is certified by an unblocked Cholesky factorization
-with a pivot floor; general inversion goes through partially pivoted LU so
-that ill-signed inverses of conjugated matrices do not sneak through a
+Positive definiteness is certified by a LAPACK Cholesky factorization
+with a pivot floor, and the inverse of a covariance comes from that same
+factor; general inversion goes through partially pivoted LU so that
+ill-signed inverses of conjugated matrices do not sneak through a
 symmetric-only path.
 """
 
@@ -20,21 +21,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgetri, dpotrf, dtrtri
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
-    "NoConvergenceError",
-    "SpectralRadius",
     "NonnegCheck",
     "as_square_matrix",
     "as_covariance",
     "cholesky",
     "invert",
-    "spectral_radius",
+    "transience_bound",
     "is_nonneg",
 ]
 
@@ -57,17 +58,6 @@ class SingularMatrixError(Exception):
     def __init__(self, index, message=None):
         self.index = int(index)
         super().__init__(message or f"matrix is singular at pivot {index}")
-
-
-class NoConvergenceError(Exception):
-    """Power iteration did not converge; ``gershgorin`` stays a valid bound."""
-
-    def __init__(self, iterations, gershgorin):
-        self.iterations = int(iterations)
-        self.gershgorin = float(gershgorin)
-        super().__init__(
-            f"power iteration did not converge in {iterations} iterations"
-        )
 
 
 @dataclass(frozen=True)
@@ -122,22 +112,6 @@ class NonnegCheck(NamedTuple):
     index: tuple[int, int]
 
 
-class SpectralRadius(NamedTuple):
-    """Spectral-radius estimate with a certified enclosure.
-
-    ``lower <= rho <= upper`` holds rigorously for entrywise-nonnegative
-    input (the bounds are min/max ratios of one positive iterate, capped by
-    the Gershgorin row-sum bound); ``estimate`` is the final Rayleigh
-    quotient of the iteration.
-    """
-
-    estimate: float
-    lower: float
-    upper: float
-    gershgorin: float
-    iterations: int
-
-
 def as_square_matrix(M, name="matrix") -> np.ndarray:
     """Validate and return ``M`` as a finite square float64 array."""
     A = np.asarray(M, dtype=float)
@@ -169,7 +143,8 @@ def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Parameters
     ----------
     G : array_like
-        Symmetric matrix (within ``tol.sym_tol``).
+        Symmetric matrix (within ``tol.sym_tol``); only its lower triangle
+        enters the factorization.
     tol : Tolerances
         ``eps_psd`` is the pivot floor.
 
@@ -180,6 +155,17 @@ def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         first leading principal minor that is not positive.
     """
     A = as_covariance(G, tol)
+    if A.shape[0] == 0:
+        return A.copy()
+    L, info = dpotrf(A, lower=1, clean=1)
+    if info == 0 and np.diag(L).min() ** 2 > tol.eps_psd:
+        return L
+    # LAPACK stops at the first nonpositive pivot and does not apply the
+    # floor; the unblocked loop names the first pivot at or below it.
+    return _cholesky_unblocked(A, tol)
+
+
+def _cholesky_unblocked(A, tol: Tolerances) -> np.ndarray:
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
@@ -192,8 +178,14 @@ def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return L
 
 
-def invert(A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None) -> np.ndarray:
-    """Inverse through partially pivoted LU with a residual guarantee.
+def invert(
+    A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None, factor=None
+) -> np.ndarray:
+    """Inverse with a residual guarantee.
+
+    Without ``factor`` the inverse goes through partially pivoted LU; with
+    the Cholesky factor of a covariance it comes from that factor and is
+    exactly symmetric.
 
     Parameters
     ----------
@@ -202,6 +194,9 @@ def invert(A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None) -> np
     inv_tol : float, optional
         Bound demanded on ``|A @ M - I|_max``.  Defaults to ``1e-10`` times
         a one-norm condition estimate.
+    factor : ndarray, optional
+        Lower-triangular ``L`` with ``L @ L.T == A``, as returned by
+        :func:`cholesky`.
 
     Raises
     ------
@@ -212,14 +207,24 @@ def invert(A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None) -> np
     n = A.shape[0]
     if n == 0:
         return A.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A)
-    pivots = np.abs(np.diag(lu))
-    k = int(np.argmin(pivots))
-    if pivots[k] <= tol.eps_psd:
-        raise SingularMatrixError(k)
-    M = lu_solve((lu, piv), np.eye(n))
+    # Not dpotri or dgetrs: OpenBLAS runs those threaded at every size, and
+    # on a 2-vCPU host some processes then stall 15-30 ms per call.
+    if factor is not None:
+        Linv, info = dtrtri(factor, lower=1)
+        if info != 0:
+            raise SingularMatrixError(info - 1)
+        lower = dsyrk(1.0, Linv, trans=1, lower=1)
+        M = np.tril(lower) + np.tril(lower, -1).T
+        k = int(np.argmin(np.diag(factor)))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(A)
+        pivots = np.abs(np.diag(lu))
+        k = int(np.argmin(pivots))
+        if pivots[k] <= tol.eps_psd:
+            raise SingularMatrixError(k)
+        M, _ = dgetri(lu, piv)
     residual = float(np.abs(A @ M - np.eye(n)).max())
     if inv_tol is None:
         cond = np.linalg.norm(A, 1) * np.linalg.norm(M, 1)
@@ -231,59 +236,24 @@ def invert(A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None) -> np
     return M
 
 
-def spectral_radius(B, max_iter: int = 10_000, tol: float = 1e-12) -> SpectralRadius:
-    """Dominant-eigenvalue bracket of ``|B|`` by power iteration.
+def transience_bound(T) -> float:
+    """Certified upper bound on ``rho(T)`` for entrywise nonnegative ``T``.
 
-    Iterates on the entrywise absolute value (for the nonnegative matrices
-    used here, that is the matrix itself) until the Rayleigh quotient
-    stabilizes to within ``tol`` relative change, then brackets the Perron
-    root with min/max ratios of the final strictly positive iterate.
-
-    Raises
-    ------
-    NoConvergenceError
-        Carrying the Gershgorin bound for callers that want to fall back.
+    Solves ``(I - T) x = 𝟙``.  When ``x > 0``, ``T x = x - 𝟙`` gives
+    ``(T x)_i / x_i = 1 - 1/x_i``, so the Collatz–Wielandt bound yields
+    ``rho(T) <= 1 - 1/max(x) < 1``.  Conversely ``rho(T) < 1`` forces
+    ``x = sum_k T^k 𝟙 >= 𝟙``, so a singular system or a nonpositive ``x``
+    means ``T`` is not transient; the bound is then ``inf``.
     """
-    W = np.abs(as_square_matrix(B))
-    n = W.shape[0]
-    gersh = float(W.sum(axis=1).max()) if n else 0.0
-    if n == 0 or gersh == 0.0:
-        return SpectralRadius(0.0, 0.0, 0.0, gersh, 0)
-
-    # Iterate with a scaled 16th power: same Perron direction, 16x the
-    # spectral gap, so clustered top eigenvalues still converge quickly.
-    M = W / gersh
-    for _ in range(4):
-        M = M @ M
-        peak = M.max()
-        if peak == 0.0:  # W is nilpotent
-            return SpectralRadius(0.0, 0.0, 0.0, gersh, 0)
-        M = M / peak
-
-    x = np.full(n, 1.0 / n)
-    rayleigh = 0.0
-    for it in range(1, max_iter + 1):
-        y = M @ x
-        norm = y.max()
-        if norm == 0.0:
-            return SpectralRadius(0.0, 0.0, 0.0, gersh, it)
-        x = y / norm
-        z = W @ x
-        new_rayleigh = float(x @ z) / float(x @ x)
-        done = abs(new_rayleigh - rayleigh) <= tol * max(1.0, abs(new_rayleigh))
-        rayleigh = new_rayleigh
-        if done and it > 1:
-            break
-    else:
-        raise NoConvergenceError(max_iter, gersh)
-
-    xp = np.maximum(x, 1e-250)
-    ratios = (W @ xp) / xp
-    lower = max(0.0, float(ratios.min()))
-    upper = min(float(ratios.max()), gersh)
-    estimate = min(max(rayleigh, lower), upper)
-    assert estimate <= gersh * (1.0 + 1e-12)
-    return SpectralRadius(estimate, lower, upper, gersh, it)
+    T = as_square_matrix(T)
+    n = T.shape[0]
+    try:
+        x = np.linalg.solve(np.eye(n) - T, np.ones(n))
+    except np.linalg.LinAlgError:
+        return np.inf
+    if not (x > 0.0).all():
+        return np.inf
+    return 1.0 - 1.0 / float(x.max())
 
 
 def is_nonneg(A, eps_zero: float) -> NonnegCheck:

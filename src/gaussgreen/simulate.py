@@ -16,12 +16,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    NoConvergenceError,
     Tolerances,
     as_covariance,
     as_square_matrix,
     cholesky,
-    spectral_radius,
+    transience_bound,
 )
 
 __all__ = [
@@ -64,8 +63,12 @@ class ChainSpec:
         return np.asarray(self.T).shape[0]
 
 
-def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Raise :class:`InvalidChainError` unless all chain invariants hold."""
+def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Raise :class:`InvalidChainError` unless all chain invariants hold.
+
+    Returns the certified bound ``rho(T) <= 1 - 1/max(x) < 1`` with
+    ``(I - T) x = 𝟙`` (see :func:`~gaussgreen.linalg.transience_bound`).
+    """
     T = as_square_matrix(chain.T, name="transition matrix")
     kappa = np.asarray(chain.kappa, dtype=float)
     n = T.shape[0]
@@ -87,19 +90,13 @@ def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> None:
         raise InvalidChainError("rows of T plus kappa do not sum to 1")
     if chain.c <= 0.0:
         raise InvalidChainError("rate c must be positive")
-    if _rho_upper(T) >= 1.0:
+    rho = transience_bound(T)
+    if rho >= 1.0:
         raise InvalidChainError("cannot certify spectral radius of T below 1")
+    return rho
 
 
-def _rho_upper(T) -> float:
-    try:
-        return spectral_radius(T).upper
-    except NoConvergenceError as err:
-        return err.gershgorin
-
-
-def _max_steps(T) -> int:
-    rho = _rho_upper(T)
+def _max_steps(rho: float) -> int:
     if rho <= 0.0:
         return 1
     return max(1, int(np.ceil(np.log(_PATH_TAIL) / np.log(rho))))
@@ -112,14 +109,14 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool):
     ``n_paths`` independent killed trajectories started from each state,
     counting the start itself.
     """
-    validate_chain(chain)
+    rho = validate_chain(chain)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     T = np.clip(np.asarray(chain.T, dtype=float), 0.0, None)
     n = T.shape[0]
     cum = np.cumsum(T, axis=1)
     survive_p = cum[:, -1] if n else np.zeros(0)
-    cap = _max_steps(T)
+    cap = _max_steps(rho)
 
     estimate = np.empty((n, n))
     stderr = np.empty((n, n))
@@ -256,7 +253,11 @@ def laplace_exact(G, t) -> float:
     if t.size and t.min() < 0.0:
         raise ValueError("t must be entrywise nonnegative")
     sign, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + G * t[None, :])
-    assert sign > 0.0
+    if sign <= 0.0:
+        raise ValueError(
+            f"det(I + G diag(t)) = {sign * np.exp(logdet):.6g} is not positive; "
+            "G is not a covariance"
+        )
     return float(np.exp(-0.5 * logdet))
 
 

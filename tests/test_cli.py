@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussgreen import __version__
+import gaussgreen
+from gaussgreen import __version__, cli, linalg
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
-from gaussgreen.decomposition import decompose
+from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import fbm_cov, sheet_counterexample
 from gaussgreen.linalg import invert
 from helpers import MIN_KERNEL
@@ -222,6 +227,56 @@ class TestCmdLaplace:
     def test_bad_rates_is_input_error(self, min_kernel_csv):
         assert main(["laplace", "--input", str(min_kernel_csv), "--t", "1,x"]) == 1
         assert main(["laplace", "--input", str(min_kernel_csv), "--t=-1,0,0"]) == 1
+
+
+class TestExitCodes:
+    def test_invalid_chain_is_input_error_without_traceback(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            {"T": [[0.6, 0.6], [0.1, 0.1]], "kappa": [-0.2, 0.8], "c": 1.0}
+        ))
+        src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussgreen.cli", "simulate", "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "negative killing probability" in proc.stderr
+
+    def test_numerical_failure_exits_four(self, min_kernel_csv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericalFailureError("forced")
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
+        assert "internal numerical failure (forced)" in capsys.readouterr().err
+
+    def test_nonpositive_laplace_determinant_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "indef.csv"
+        write_csv(path, [[1.0, 3.0], [3.0, 1.0]])
+        assert main(["laplace", "--input", str(path), "--t", "1,1"]) == 1
+        assert "det(I + G diag(t)) = -5" in capsys.readouterr().err
+
+
+def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
+    calls = {"dpotrf": 0, "lu_factor": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    inputs = {"id": fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5),
+              "not_id": sheet_counterexample()[1]}
+    for label, G in inputs.items():
+        path = tmp_path / f"{label}.json"
+        write_json_matrix(path, G)
+        for command in ("check", "decompose"):
+            calls.update(dpotrf=0, lu_factor=0)
+            main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
+            assert calls == {"dpotrf": 1, "lu_factor": 0}, (label, command)
 
 
 class TestCmdZoo:

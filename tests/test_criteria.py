@@ -1,13 +1,18 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussgreen.criteria import (
     MMatrixCert,
     MMatrixFailure,
     NoSignature,
     Signature,
+    _contradiction_cycle,
+    _worst_positive_edge,
     classify_green,
     find_signature,
     is_diag_dominant,
@@ -16,8 +21,15 @@ from gaussgreen.criteria import (
     triple_necessary,
     triple_sufficient,
 )
-from gaussgreen.kernels import fbm_cov, random_green, scale_conjugate, sheet_counterexample
-from gaussgreen.linalg import NotPositiveDefiniteError, Tolerances, invert
+from gaussgreen.kernels import (
+    brownian_cov,
+    fbm_cov,
+    random_green,
+    scale_conjugate,
+    sheet_counterexample,
+    sheet_cov,
+)
+from gaussgreen.linalg import NotPositiveDefiniteError, Tolerances, cholesky, invert, is_nonneg
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd, signature_product_around
 
 TRIPLE_NOT_ID = np.array([[1.0, 0.4, -0.4], [0.4, 1.0, 0.4], [-0.4, 0.4, 1.0]])
@@ -33,6 +45,8 @@ class TestIsMMatrix:
         )
         assert cert.rho_upper < 2.0
         assert cert.rho_estimate == pytest.approx(1.8019, abs=1e-4)
+        # B has char poly x^3 - x^2 - 2x + 1; the bracket encloses its root
+        assert cert.rho_lower - 1e-12 <= cert.rho_estimate <= cert.rho_upper + 1e-12
         assert cert.inv_min_entry >= -1e-12  # the inverse is the min kernel
 
     def test_identity(self):
@@ -40,6 +54,7 @@ class TestIsMMatrix:
         assert isinstance(cert, MMatrixCert)
         assert cert.c == pytest.approx(1.0)
         np.testing.assert_allclose(cert.B, 0.0)
+        assert cert.rho_lower == cert.rho_upper == cert.rho_estimate == 0.0
 
     def test_positive_offdiagonal_fails(self):
         failure = is_m_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -63,6 +78,24 @@ class TestIsMMatrix:
         np.testing.assert_allclose(
             cert.c * np.eye(3) - cert.B, MIN_KERNEL_INV, atol=1e-12
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+    def test_bracket_encloses_spectral_radius(self, n, seed):
+        _, g = random_green(n, seed, symmetric=True)
+        cert = is_m_matrix(invert(g))
+        assert isinstance(cert, MMatrixCert)
+        oracle = float(np.abs(np.linalg.eigvals(cert.B)).max())
+        assert cert.rho_lower - 1e-9 <= oracle <= cert.rho_upper + 1e-9
+        assert cert.rho_upper < cert.c
+
+    def test_bracket_from_precomputed_inverse(self):
+        cert = is_m_matrix(MIN_KERNEL_INV, inverse=MIN_KERNEL)
+        assert isinstance(cert, MMatrixCert)
+        # u = MIN_KERNEL 1 = (3, 5, 6) and A u = 1, so the smallest ratio
+        # (B u)_i / u_i = c - 1/u_i is 2 - 1/3 and the largest 2 - 1/6
+        assert cert.rho_lower == pytest.approx(2.0 - 1.0 / 3.0)
+        assert cert.rho_upper == pytest.approx(2.0 - 1.0 / 6.0)
 
     def test_success_implies_nonneg_inverse(self):
         rng = np.random.default_rng(11)
@@ -160,6 +193,24 @@ class TestIsIdSquare:
         assert not verdict.is_id
         assert isinstance(verdict.witness, NoSignature)
         assert not triple_necessary(TRIPLE_NOT_ID)
+
+    def test_rescaled_brownian_300_is_id(self):
+        # rescaled Brownian inputs of this size once came back not_id: the
+        # spectral bracket fell back to a Gershgorin bound above c
+        rng = np.random.default_rng(1)
+        G = scale_conjugate(
+            brownian_cov(np.cumsum(rng.uniform(0.9, 1.1, 300))),
+            rng.uniform(0.5, 2.0, 300),
+        )
+        verdict = is_id_square(G)
+        assert verdict.is_id
+        assert verdict.margins["spectral_gap"] > 0
+
+    def test_brownian_1000_has_positive_gap(self):
+        verdict = is_id_square(brownian_cov(np.arange(1.0, 1001.0)))
+        assert verdict.is_id
+        # the Collatz-Wielandt gap is min_i 1/u_i = 1/max(G 1) ~ 2.0e-6
+        assert verdict.margins["spectral_gap"] > 0
 
     def test_margins_populated(self):
         verdict = is_id_square(MIN_KERNEL)
@@ -334,3 +385,73 @@ class TestBruteForceAgreement:
                 assert isinstance(ours, MMatrixCert) == isinstance(
                     theirs, MMatrixCert
                 )
+
+
+def reference_find_signature(G, tol=Tolerances()):
+    """Edge-at-a-time breadth-first sign propagation, the reference for the
+    vectorized frontier in :func:`find_signature`."""
+    A = invert(G, tol, factor=cholesky(G, tol))
+    A = 0.5 * (A + A.T)
+    n = A.shape[0]
+    thr_a = tol.zero_threshold(A)
+    adjacency = np.abs(A) > thr_a
+    np.fill_diagonal(adjacency, False)
+    signs = np.zeros(n, dtype=int)
+    parents = np.full(n, -1)
+    components = []
+    for root in range(n):
+        if signs[root] != 0:
+            continue
+        signs[root] = 1
+        comp = [root]
+        queue = deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in np.flatnonzero(adjacency[i]):
+                forced = -int(np.sign(A[i, j])) * signs[i]
+                if signs[j] == 0:
+                    signs[j] = forced
+                    parents[j] = i
+                    comp.append(int(j))
+                    queue.append(int(j))
+                elif signs[j] != forced:
+                    cycle = _contradiction_cycle(parents, i, int(j))
+                    culprit = _worst_positive_edge(A, cycle, thr_a)
+                    return NoSignature("cycle", culprit, float(A[culprit]), cycle)
+        components.append(tuple(comp))
+    sig = Signature(signs=signs, components=tuple(components))
+    check = is_nonneg(sig.conjugate(G), tol.zero_threshold(G))
+    if not check.ok:
+        return NoSignature("entry", index=check.index, value=check.min_value)
+    return sig
+
+
+def test_vectorized_bfs_matches_reference():
+    rng = np.random.default_rng(31)
+    corpus = [MIN_KERNEL, TRIPLE_NOT_ID, sheet_counterexample()[1], np.eye(4)]
+    block = np.zeros((5, 5))
+    block[:3, :3] = MIN_KERNEL
+    block[3:, 3:] = [[2.0, 0.5], [0.5, 1.0]]
+    corpus.append(block)
+    for n in (7, 10):
+        # frustrated ring: one positive edge among negative ones
+        ring = 3.0 * np.eye(n)
+        for k in range(n):
+            ring[k, (k + 1) % n] = ring[(k + 1) % n, k] = 1.0 if k == 2 else -1.0
+        corpus.append(invert(ring))
+    corpus.append(invert(np.array([[1e-3, 0.9e-10], [0.9e-10, 1e-3]])))
+    for n in (6, 15, 40):
+        corpus.append(random_spd(n, rng))
+        _, g = random_green(n, int(rng.integers(1 << 31)), symmetric=True)
+        s0 = rng.choice([-1.0, 1.0], size=n)
+        corpus.append(s0[:, None] * g * s0[None, :])
+        corpus.append(sheet_cov(rng.uniform(0.1, 10.0, size=(n, 2))))
+    for G in corpus:
+        ours, ref = find_signature(G), reference_find_signature(G)
+        assert type(ours) is type(ref)
+        if isinstance(ref, Signature):
+            np.testing.assert_array_equal(ours.signs, ref.signs)
+            assert ours.components == ref.components
+        else:
+            assert (ours.reason, ours.index, ours.value, ours.cycle) == (
+                ref.reason, ref.index, ref.value, ref.cycle)

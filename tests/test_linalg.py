@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgreen.linalg import (
-    NoConvergenceError,
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
@@ -12,7 +11,7 @@ from gaussgreen.linalg import (
     cholesky,
     invert,
     is_nonneg,
-    spectral_radius,
+    transience_bound,
 )
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd
 
@@ -98,43 +97,47 @@ class TestInvert:
         np.testing.assert_allclose(invert(invert(A)), A, rtol=1e-8, atol=1e-8)
 
 
-class TestSpectralRadius:
+class TestInvertFromCholesky:
+    def test_min_kernel(self):
+        M = invert(MIN_KERNEL, factor=cholesky(MIN_KERNEL))
+        np.testing.assert_allclose(M, MIN_KERNEL_INV, atol=1e-12)
+        np.testing.assert_array_equal(M, M.T)
+
+    def test_residual_guarantee_enforced(self):
+        A = random_spd(6, np.random.default_rng(0))
+        with pytest.raises(SingularMatrixError, match="residual"):
+            invert(A, factor=cholesky(A), inv_tol=1e-300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 10_000))
+    def test_agrees_with_lu_inverse(self, n, seed):
+        A = random_spd(n, np.random.default_rng(seed))
+        np.testing.assert_allclose(
+            invert(A, factor=cholesky(A)), invert(A), rtol=1e-9, atol=1e-12
+        )
+
+
+class TestTransienceBound:
+    def test_single_state(self):
+        assert transience_bound(np.array([[0.9]])) == pytest.approx(0.9)
+
     def test_zero_matrix(self):
-        sr = spectral_radius(np.zeros((3, 3)))
-        assert sr.estimate == 0.0 and sr.upper == 0.0
+        assert transience_bound(np.zeros((3, 3))) == 0.0
 
-    def test_cubic_root_case(self):
-        # char poly x^3 - x^2 - 2x + 1; dense eigensolver is the oracle
-        B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        oracle = float(np.abs(np.linalg.eigvals(B)).max())
-        assert oracle == pytest.approx(1.8019, abs=1e-4)
-        sr = spectral_radius(B)
-        assert sr.estimate == pytest.approx(oracle, rel=1e-9)
-        assert sr.lower - 1e-12 <= oracle <= sr.upper + 1e-12
-        assert sr.gershgorin == pytest.approx(2.0)
-
-    def test_symmetric_flip(self):
-        sr = spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert sr.estimate == pytest.approx(0.5, rel=1e-9)
-
-    def test_absolute_values_used(self):
-        sr = spectral_radius(np.array([[0.0, -0.5], [-0.5, 0.0]]))
-        assert sr.estimate == pytest.approx(0.5, rel=1e-9)
-
-    def test_no_convergence_carries_gershgorin(self):
-        B = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(NoConvergenceError) as err:
-            spectral_radius(B, max_iter=1)
-        assert err.value.gershgorin == pytest.approx(1.0)
+    @pytest.mark.parametrize(
+        "T", [[[1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.6, 0.6], [0.6, 0.6]]]
+    )
+    def test_not_transient_is_infinite(self, T):
+        assert transience_bound(np.array(T)) == np.inf
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 10_000))
-    def test_bracket_and_gershgorin_bound(self, n, seed):
-        B = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
-        sr = spectral_radius(B)
-        oracle = float(np.abs(np.linalg.eigvals(B)).max())
-        assert sr.estimate <= sr.gershgorin + 1e-12
-        assert sr.lower - 1e-9 <= oracle <= sr.upper + 1e-9
+    def test_bounds_spectral_radius(self, n, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(0.0, 1.0, size=(n, n))
+        T *= rng.uniform(0.1, 0.99) / T.sum(axis=1, keepdims=True)
+        oracle = float(np.abs(np.linalg.eigvals(T)).max())
+        assert oracle <= transience_bound(T) + 1e-12 < 1.0 + 1e-12
 
 
 class TestIsNonneg:
@@ -166,6 +169,7 @@ def test_cholesky_succeeds_iff_leading_minors_positive(seed):
     if expect_pd:
         L = cholesky(A)
         np.testing.assert_allclose(L @ L.T, A, atol=1e-10)
+        assert np.allclose(np.triu(L, 1), 0.0)
     else:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(A)

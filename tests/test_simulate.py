@@ -177,6 +177,11 @@ class TestLaplaceExact:
         with pytest.raises(ValueError, match="nonnegative"):
             laplace_exact(np.eye(2), [-0.1, 1.0])
 
+    def test_nonpositive_determinant_rejected(self):
+        # det(I + G) = det([[2, 3], [3, 2]]) = -5: G is not a covariance
+        with pytest.raises(ValueError, match=r"det\(I \+ G diag\(t\)\) = -5 "):
+            laplace_exact(np.array([[1.0, 3.0], [3.0, 1.0]]), [1.0, 1.0])
+
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
