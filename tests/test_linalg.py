@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussgreen.criteria import MMatrixCert, is_m_matrix
 from gaussgreen.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -138,6 +139,29 @@ class TestTransienceBound:
         T *= rng.uniform(0.1, 0.99) / T.sum(axis=1, keepdims=True)
         oracle = float(np.abs(np.linalg.eigvals(T)).max())
         assert oracle <= transience_bound(T) + 1e-12 < 1.0 + 1e-12
+
+
+class TestSpectralRadius:
+    """rho(B) of a nonnegative B, enclosed by the Collatz-Wielandt bounds of
+    ``transience_bound`` and of the ``is_m_matrix`` certificate."""
+
+    def test_zero_matrix(self):
+        assert transience_bound(np.zeros((3, 3))) == 0.0
+        cert = is_m_matrix(np.eye(3))  # c = 1, B = 0
+        assert isinstance(cert, MMatrixCert)
+        assert cert.rho_lower == cert.rho_upper == cert.rho_estimate == 0.0
+
+    def test_cubic_root_case(self):
+        # char poly x^3 - x^2 - 2x + 1; dense eigensolver is the oracle
+        B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        oracle = float(np.abs(np.linalg.eigvals(B)).max())
+        assert oracle == pytest.approx(1.8019, abs=1e-4)
+        cert = is_m_matrix(2.0 * np.eye(3) - B)
+        assert isinstance(cert, MMatrixCert)
+        np.testing.assert_allclose(cert.B, B)
+        assert cert.rho_estimate == pytest.approx(oracle, rel=1e-9)
+        assert cert.rho_lower - 1e-12 <= oracle <= cert.rho_upper + 1e-12
+        assert oracle / 2.0 <= transience_bound(B / 2.0) + 1e-12 < 1.0
 
 
 class TestIsNonneg:
