@@ -124,8 +124,39 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
     return M
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+_SCALAR_TYPES = {float, int, bool, type(None)}
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``pad`` deep.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder; here each
+    list of scalars (a matrix row, a vector) goes through the C encoder in
+    one call and is re-indented, which is where reports spend their bytes.
+    Keys must be strings, as they are in every report.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{inner}{_ENCODE(key)}: {_dumps(value[key], inner)}"
+                 for key in sorted(value))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _SCALAR_TYPES:
+            # Scalar encodings contain no ", ", so this splits only items.
+            body = inner + _ENCODE(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = ",\n".join(inner + _dumps(v, inner) for v in value)
+        return "[\n" + body + "\n" + pad + "]"
+    return _ENCODE(value)
+
+
 def write_report(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

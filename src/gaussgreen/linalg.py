@@ -7,23 +7,20 @@ instance count as zero, everything outside keeps its sign.  The band is
 scaled by the magnitude of the matrix under test, so the default behaves
 like ``1e-10 * max(1, |A|_max)``.
 
-Positive definiteness is certified by a LAPACK Cholesky factorization
-with a pivot floor, and the inverse of a covariance comes from that same
-factor; general inversion goes through partially pivoted LU so that
-ill-signed inverses of conjugated matrices do not sneak through a
-symmetric-only path.
+Positive definiteness is certified by numpy's LAPACK Cholesky
+factorization with a pivot floor, and the inverse of a covariance comes
+from that same factor through a blocked triangular inverse; general
+inversion goes through Gauss–Jordan elimination with partial pivoting so
+that ill-signed inverses of conjugated matrices do not sneak through a
+symmetric-only path.  numpy is the only dependency.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgetri, dpotrf, dtrtri
 
 __all__ = [
     "Tolerances",
@@ -53,7 +50,7 @@ class NotPositiveDefiniteError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """LU elimination met a pivot below the floor at ``index``."""
+    """Elimination met a pivot at or below the floor at ``index``."""
 
     def __init__(self, index, message=None):
         self.index = int(index)
@@ -157,11 +154,15 @@ def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A = as_covariance(G, tol)
     if A.shape[0] == 0:
         return A.copy()
-    L, info = dpotrf(A, lower=1, clean=1)
-    if info == 0 and np.diag(L).min() ** 2 > tol.eps_psd:
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None and np.diag(L).min() ** 2 > tol.eps_psd:
         return L
-    # LAPACK stops at the first nonpositive pivot and does not apply the
-    # floor; the unblocked loop names the first pivot at or below it.
+    # LAPACK stops at the first nonpositive pivot without naming it and
+    # does not apply the floor; the unblocked loop names the first pivot at
+    # or below it.
     return _cholesky_unblocked(A, tol)
 
 
@@ -183,9 +184,9 @@ def invert(
 ) -> np.ndarray:
     """Inverse with a residual guarantee.
 
-    Without ``factor`` the inverse goes through partially pivoted LU; with
-    the Cholesky factor of a covariance it comes from that factor and is
-    exactly symmetric.
+    Without ``factor`` the inverse goes through Gauss–Jordan elimination
+    with partial pivoting; with the Cholesky factor of a covariance it comes
+    from that factor and is exactly symmetric.
 
     Parameters
     ----------
@@ -201,30 +202,25 @@ def invert(
     Raises
     ------
     SingularMatrixError
-        When a U pivot falls below ``eps_psd`` or the residual bound fails.
+        When a Gauss–Jordan pivot is at most ``eps_psd``, ``factor`` has a
+        zero diagonal entry, or the residual bound fails.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
     if n == 0:
         return A.copy()
-    # Not dpotri or dgetrs: OpenBLAS runs those threaded at every size, and
-    # on a 2-vCPU host some processes then stall 15-30 ms per call.
     if factor is not None:
-        Linv, info = dtrtri(factor, lower=1)
-        if info != 0:
-            raise SingularMatrixError(info - 1)
-        lower = dsyrk(1.0, Linv, trans=1, lower=1)
-        M = np.tril(lower) + np.tril(lower, -1).T
-        k = int(np.argmin(np.diag(factor)))
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(A)
-        pivots = np.abs(np.diag(lu))
-        k = int(np.argmin(pivots))
-        if pivots[k] <= tol.eps_psd:
+        diag = np.abs(np.diag(factor))
+        k = int(np.argmin(diag))
+        if diag[k] == 0.0:
             raise SingularMatrixError(k)
-        M, _ = dgetri(lu, piv)
+        Linv = _tril_inverse(factor)
+        # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric.
+        lower = np.tril(Linv.T @ Linv)
+        M = lower + np.tril(lower, -1).T
+    else:
+        M, pivots = _gauss_jordan(A, tol)
+        k = int(np.argmin(np.abs(pivots)))
     residual = float(np.abs(A @ M - np.eye(n)).max())
     if inv_tol is None:
         cond = np.linalg.norm(A, 1) * np.linalg.norm(M, 1)
@@ -234,6 +230,85 @@ def invert(
             k, f"inverse residual {residual:.3e} exceeds {inv_tol:.3e}"
         )
     return M
+
+
+# Below this size one LAPACK inverse of the block beats further splitting.
+_TRIL_LEAF = 64
+
+
+def _tril_inverse(L) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular ``L``, by recursive halving.
+
+    With ``L = [[P, 0], [C, D]]`` the inverse is
+    ``[[P⁻¹, 0], [-D⁻¹ C P⁻¹, D⁻¹]]``, so all work outside the small
+    diagonal blocks is matrix products.  A plain ``np.linalg.inv(L)``
+    ignores the structure and is several times slower from n of a few
+    hundred on.
+    """
+    n = L.shape[0]
+    if n <= _TRIL_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    Pinv = _tril_inverse(L[:h, :h])
+    Dinv = _tril_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = Pinv
+    out[h:, h:] = Dinv
+    out[h:, :h] = -(Dinv @ (L[h:, :h] @ Pinv))
+    return out
+
+
+# Columns per Gauss–Jordan panel: the rank-1 loop runs on n x _GJ_PANEL
+# blocks and the rest of the work goes to matrix products.
+_GJ_PANEL = 32
+
+
+def _gauss_jordan(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """``(A⁻¹, pivots)`` by Gauss–Jordan elimination with partial pivoting.
+
+    ``pivots`` holds the elimination pivots, which are the diagonal of U in
+    the LU factorization with the same row exchanges.
+
+    Works on ``W = [A | I]`` one panel of columns at a time.  Eliminating a
+    copy of the panel column by column chooses the pivots and swaps whole
+    rows of ``W``.  The remaining row operations only add multiples of the
+    panel's pivot rows ``R``, so together they map ``W`` to
+    ``W + Z @ W[R]``; as they turn the panel ``Y`` into unit columns ``E``,
+    ``Z = (E - Y) @ inv(Y[R])``, and one matrix product applies them to the
+    columns right of the panel.
+
+    Raises
+    ------
+    SingularMatrixError
+        At the first pivot whose magnitude is at most ``eps_psd``.
+    """
+    n = A.shape[0]
+    W = np.hstack([A, np.eye(n)])
+    pivots = np.empty(n)
+    for k0 in range(0, n, _GJ_PANEL):
+        k1 = min(k0 + _GJ_PANEL, n)
+        panel = W[:, k0:k1].copy()
+        for k in range(k0, k1):
+            j = k - k0
+            p = k + int(np.argmax(np.abs(panel[k:, j])))
+            if p != k:
+                panel[[k, p]] = panel[[p, k]]
+                W[[k, p]] = W[[p, k]]
+            pivots[k] = panel[k, j]
+            if abs(pivots[k]) <= tol.eps_psd:
+                raise SingularMatrixError(k)
+            panel[k, j:] /= pivots[k]
+            col = panel[:, j].copy()
+            col[k] = 0.0
+            panel[:, j:] -= np.outer(col, panel[k, j:])
+        # Columns left of k0 are unit vectors that vanish on the panel rows,
+        # so only the panel and the columns right of it change.
+        unit = np.zeros((n, k1 - k0))
+        unit[k0:k1] = np.eye(k1 - k0)
+        Z = (unit - W[:, k0:k1]) @ np.linalg.inv(W[k0:k1, k0:k1])
+        W[:, k1:] += Z @ W[k0:k1, k1:]
+        W[:, k0:k1] = unit
+    return W[:, n:], pivots
 
 
 def transience_bound(T) -> float:

@@ -261,22 +261,80 @@ class TestExitCodes:
 
 
 def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
-    calls = {"dpotrf": 0, "lu_factor": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(linalg, name), _name=name, **kwargs):
+    targets = {"cholesky": (np.linalg, "cholesky"),
+               "gauss_jordan": (linalg, "_gauss_jordan")}
+    calls = dict.fromkeys(targets, 0)
+    for name, (owner, attr) in targets.items():
+        def counted(*args, _orig=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     inputs = {"id": fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5),
               "not_id": sheet_counterexample()[1]}
     for label, G in inputs.items():
         path = tmp_path / f"{label}.json"
         write_json_matrix(path, G)
         for command in ("check", "decompose"):
-            calls.update(dpotrf=0, lu_factor=0)
+            calls.update(cholesky=0, gauss_jordan=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
-            assert calls == {"dpotrf": 1, "lu_factor": 0}, (label, command)
+            assert calls == {"cholesky": 1, "gauss_jordan": 0}, (label, command)
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    script = f"""
+import sys
+from gaussgreen.cli import main
+d = {str(tmp_path)!r}
+codes = [
+    main(["zoo", "--family", "brownian", "--grid", "1,2,3", "--out", d + "/g.json"]),
+    main(["check", "--input", d + "/g.json", "--out", d + "/check.json"]),
+    main(["decompose", "--input", d + "/g.json", "--out", d + "/dec.json"]),
+    main(["simulate", "--input", d + "/dec.json", "--paths", "100",
+          "--out", d + "/sim.json"]),
+    main(["simulate", "--input", d + "/dec.json", "--paths", "100", "--ct",
+          "--out", d + "/simct.json"]),
+    main(["laplace", "--input", d + "/g.json", "--t", "1,1,1", "--samples", "100",
+          "--out", d + "/lap.json"]),
+    main(["sweep", "--betas", "0.5", "--grids", "1,2,3", "--out", d + "/sweep.json"]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
+    def out(name):
+        return str(tmp_path / f"{name}.json")
+
+    runs = {
+        "zoo": ["zoo", "--family", "fbm", "--grid", "1,2,3.5", "--beta", "1.5"],
+        "zoo_ce": ["zoo", "--family", "counterexample"],
+        "check": ["check", "--input", out("zoo")],
+        "check_ce": ["check", "--input", out("zoo_ce")],
+        "decompose": ["decompose", "--input", str(min_kernel_csv)],
+        "decompose_ce": ["decompose", "--input", out("zoo_ce")],
+        "simulate": ["simulate", "--input", out("decompose"), "--paths", "200"],
+        "laplace": ["laplace", "--input", str(min_kernel_csv), "--t", "1,0.5,0",
+                    "--samples", "200"],
+        "sweep": ["sweep", "--betas", "0.5,1.5"],
+    }
+    docs = []
+    for name, argv in runs.items():
+        main(argv + ["--out", out(name)])
+        text = Path(out(name)).read_text()
+        docs.append(json.loads(text))
+        assert text == json.dumps(docs[-1], indent=2, sort_keys=True) + "\n", name
+    docs.append({"b": [], "a": {}, "nested": {"z": [{}, [], [[]]], "y": {"x": None}},
+                 "text": ["a, b", "\u00e9\n"], "mixed": [1, 2.5, True, None, (3, 4)],
+                 "odd": [float("nan"), float("inf"), -0.0, 1e-300]})
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestCmdZoo:

@@ -322,6 +322,12 @@ class TestClassifyGreen:
         _, G = sheet_counterexample()
         assert classify_green(G).kind == "not_id"
 
+    def test_brownian_2000_has_positive_gap(self):
+        cls = classify_green(brownian_cov(np.arange(1.0, 2001.0)))
+        assert cls.kind == "green"
+        # the Collatz-Wielandt gap is 1/max(G 1) ~ 5.0e-7
+        assert cls.verdict.margins["spectral_gap"] > 0
+
 
 class TestInvariances:
     def test_signature_conjugation_stability(self):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussgreen import linalg
 from gaussgreen.criteria import MMatrixCert, is_m_matrix
 from gaussgreen.linalg import (
+    DEFAULT_TOL,
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
@@ -115,6 +117,57 @@ class TestInvertFromCholesky:
         A = random_spd(n, np.random.default_rng(seed))
         np.testing.assert_allclose(
             invert(A, factor=cholesky(A)), invert(A), rtol=1e-9, atol=1e-12
+        )
+
+
+class TestTrilInverse:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    def test_matches_dense_inverse(self, n):
+        L = cholesky(random_spd(n, np.random.default_rng(n)))
+        X = linalg._tril_inverse(L)
+        ref = np.linalg.inv(L)
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert not np.triu(X, 1).any()
+
+
+def _lu_pivots(A):
+    """diag(U) of partially pivoted LU, one column at a time (reference)."""
+    U = np.array(A, dtype=float)
+    n = U.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
+    return np.diag(U).copy()
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize("n", [31, 32, 33, 70])
+    def test_pivots_are_lu_diagonal(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n))
+        M, pivots = linalg._gauss_jordan(A, DEFAULT_TOL)
+        np.testing.assert_allclose(pivots, _lu_pivots(A), rtol=1e-9)
+        np.testing.assert_allclose(A @ M, np.eye(n), atol=1e-10)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (70, 40)])
+    def test_tiny_pivot_raises(self, n, k):
+        # A = L U with |L_ij| < 1 below a unit diagonal: partial pivoting
+        # keeps the row order, so the pivots are diag(U), one of them 1e-13.
+        rng = np.random.default_rng(n)
+        Lo = np.tril(rng.uniform(-0.5, 0.5, size=(n, n)), -1) + np.eye(n)
+        U = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
+        np.fill_diagonal(U, rng.uniform(1.0, 2.0, size=n))
+        U[k, k] = 1e-13
+        with pytest.raises(SingularMatrixError) as err:
+            invert(Lo @ U)
+        assert err.value.index == k
+
+    @pytest.mark.parametrize("n", [31, 33, 65, 200])
+    def test_agrees_with_factor_path(self, n):
+        A = random_spd(n, np.random.default_rng(n))
+        np.testing.assert_allclose(
+            invert(A), invert(A, factor=cholesky(A)), rtol=1e-9, atol=1e-12
         )
 
 
