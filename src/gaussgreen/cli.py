@@ -20,6 +20,7 @@ are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -464,11 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="classify a covariance")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="build the killed-chain decomposition")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="Monte-Carlo visit counts for a chain file")
     p.add_argument("--input", required=True, help="decomposition/chain JSON")
@@ -478,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="continuous-time occupation instead of visit counts")
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("laplace", help="determinant formula and Monte-Carlo check")
     common(p)
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0,
                    help="Monte-Carlo sample count (0 = exact only)")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_laplace)
 
     p = sub.add_parser("zoo", help="generate a covariance family instance")
     p.add_argument("--family", required=True,
@@ -501,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated positive diagonal to conjugate by")
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("sweep", help="verdict table over a parameter sweep")
     p.add_argument("--family", default="fbm")
@@ -510,15 +506,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated comma grids (default: built-in)")
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a small ``check``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a rebound ``cmd_*`` name is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -308,6 +308,47 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
+def test_cached_parser_leaks_no_flags(tmp_path, min_kernel_csv, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    dec = tmp_path / "dec.json"
+    main(["decompose", "--input", str(min_kernel_csv), "--out", str(dec)])
+    runs = [
+        ["check", "--input", str(min_kernel_csv)],
+        ["simulate", "--input", str(dec), "--paths", "300", "--ct"],
+        ["simulate", "--input", str(dec), "--paths", "300"],
+        ["laplace", "--input", str(min_kernel_csv), "--t", "1,0.5,0.25",
+         "--samples", "100"],
+        ["laplace", "--input", str(min_kernel_csv), "--t", "1,0.5,0.25"],
+    ]
+    src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for k, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{k}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussgreen.cli", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for k, argv in enumerate(runs):
+        shared = tmp_path / f"shared{k}.json"
+        assert main(argv + ["--out", str(shared)]) == 0
+        assert shared.read_bytes() == (tmp_path / f"fresh{k}.json").read_bytes(), argv
+    assert len(builds) == 1
+
+
+def test_main_dispatches_through_rebound_commands(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert main(["check", "--input", "unread.csv"]) == 7
+
+
 def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
     def out(name):
         return str(tmp_path / f"{name}.json")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussgreen import simulate
 from gaussgreen.linalg import NotPositiveDefiniteError
 from gaussgreen.simulate import (
     ChainSpec,
@@ -239,4 +240,115 @@ def test_report_to_dict_excludes_timing_by_default():
     doc = report.to_dict()
     assert "elapsed" not in doc
     assert doc["n_draws"] == 100 and doc["seed"] == 0
-    assert "elapsed" in report.to_dict(include_timing=True)
+
+
+def _reference_run_paths(chain, n_paths, seed, weigh_sojourns):
+    """The one-start-at-a-time loop that ``_run_paths`` replaced, verbatim."""
+    rho = validate_chain(chain)
+    T = np.clip(np.asarray(chain.T, dtype=float), 0.0, None)
+    n = T.shape[0]
+    cum = np.cumsum(T, axis=1)
+    survive_p = cum[:, -1] if n else np.zeros(0)
+    cap = simulate._max_steps(rho)
+
+    estimate = np.empty((n, n))
+    stderr = np.empty((n, n))
+    overflow = 0
+    streams = np.random.SeedSequence(seed).spawn(n)
+    dtype = float if weigh_sojourns else np.int32
+    for start in range(n):
+        rng = np.random.default_rng(streams[start])
+        tallies = np.zeros((n_paths, n), dtype=dtype)
+        states = np.full(n_paths, start, dtype=np.intp)
+        idx = np.arange(n_paths, dtype=np.intp)
+        if weigh_sojourns:
+            tallies[idx, states] = rng.exponential(1.0 / chain.c, size=n_paths)
+        else:
+            tallies[idx, states] = 1
+        for _ in range(cap):
+            if idx.size == 0:
+                break
+            r = rng.random(idx.size)
+            alive = r < survive_p[states]
+            idx, states, r = idx[alive], states[alive], r[alive]
+            if idx.size == 0:
+                break
+            rows = cum[states]
+            states = (r[:, None] < rows).argmax(axis=1).astype(np.intp)
+            if weigh_sojourns:
+                tallies[idx, states] += rng.exponential(1.0 / chain.c, size=idx.size)
+            else:
+                tallies[idx, states] += 1
+        overflow += int(idx.size)
+        estimate[start] = tallies.mean(axis=0)
+        if n_paths > 1:
+            stderr[start] = tallies.std(axis=0, ddof=1) / np.sqrt(n_paths)
+        else:
+            stderr[start] = 0.0
+    return estimate, stderr, overflow
+
+
+def _assert_matches_reference(chain, n_paths, seed):
+    for weigh, run in ((False, simulate_green), (True, simulate_ct_green)):
+        report = run(chain, n_paths=n_paths, seed=seed)
+        estimate, stderr, overflow = _reference_run_paths(chain, n_paths, seed, weigh)
+        assert np.array_equal(report.estimate, estimate)
+        assert np.array_equal(report.stderr, stderr)
+        assert report.overflow == overflow
+
+
+class TestMatchesReferenceLoop:
+    """Grouped start states and guide-table jumps leave every report as it was."""
+
+    def test_random_chains_with_zero_transitions(self):
+        from helpers import random_substochastic
+
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            n = int(rng.integers(1, 7))
+            T = random_substochastic(n, rng)
+            T[rng.random((n, n)) < 0.4] = 0.0
+            chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1),
+                              c=float(rng.uniform(0.5, 3.0)))
+            n_paths = int(rng.choice([1, 2, 37, 400]))
+            _assert_matches_reference(chain, n_paths, int(rng.integers(1 << 31)))
+
+    def test_single_state_and_single_path(self):
+        chain = ChainSpec(T=np.array([[0.3]]), kappa=np.array([0.7]), c=2.0)
+        _assert_matches_reference(chain, 1, 8)
+        _assert_matches_reference(chain, 500, 8)
+        _assert_matches_reference(CHAIN_2x2, 1, 9)
+
+    def test_slow_chain_and_overflow(self, monkeypatch):
+        chain = ChainSpec(T=np.array([[0.9]]), kappa=np.array([0.1]))
+        _assert_matches_reference(chain, 3000, 11)
+        # A short cap leaves paths alive, so the overflow counts are compared.
+        monkeypatch.setattr(simulate, "_PATH_TAIL", 1e-2)
+        assert simulate_green(chain, n_paths=3000, seed=11).overflow > 0
+        _assert_matches_reference(chain, 3000, 11)
+        _assert_matches_reference(CHAIN_2x2, 3000, 12)
+
+    def test_brownian_decomposition(self):
+        from gaussgreen.decomposition import decompose
+        from gaussgreen.kernels import brownian_cov
+
+        dec = decompose(brownian_cov(np.arange(1.0, 11.0)))
+        _assert_matches_reference(ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c), 500, 13)
+
+    def test_random_green_chain(self):
+        from gaussgreen.kernels import random_green
+
+        chain, _ = random_green(30, 14)
+        _assert_matches_reference(chain, 300, 15)
+
+    @pytest.mark.parametrize("cells", [1, 3 * 40 * 5])
+    def test_group_budgets(self, monkeypatch, cells):
+        # 3 * 40 * 5 cells hold three of the five 40-path starts: groups of 3 and 2.
+        from helpers import random_substochastic
+
+        monkeypatch.setattr(simulate, "_GROUP_CELLS", cells)
+        rng = np.random.default_rng(16)
+        T = random_substochastic(5, rng)
+        T[0, 2] = T[3, 3] = 0.0
+        chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=1.5)
+        _assert_matches_reference(chain, 40, 17)
