@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -32,15 +33,16 @@ from . import __version__
 from .criteria import (
     MMatrixFailure,
     NoSignature,
-    classify_green,
+    _classify_green,
+    _covariance_inverse,
+    _is_id_square,
     is_id_square,
 )
 from .decomposition import (
     NonPositiveScalingError,
     NumericalFailureError,
     SymmetryViolationError,
-    decompose,
-    reconstruct,
+    _decompose,
 )
 from .kernels import (
     brownian_cov,
@@ -54,8 +56,7 @@ from .linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
-    cholesky,
-    invert,
+    as_covariance,
 )
 from .simulate import (
     ChainSpec,
@@ -88,8 +89,37 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
 
 
 def _matrix_from_csv(text: str, path: str) -> np.ndarray:
+    """Rows of comma-separated ``float()`` literals; ``#`` comments, blank lines.
+
+    numpy's C reader takes the lines as Python splits them and converts
+    each field with ``PyOS_string_to_double``, the routine behind
+    ``float()``, so it returns the same array bit for bit.  Whatever it
+    rejects (underscores, empty or whitespace-only fields and lines, ragged
+    rows) or reads as empty or non-square goes to the reference parser,
+    which gives the result or the ``ParseError``.  Both strip Unicode
+    whitespace around a field, but ``float()`` keeps U+001C-U+001F; line
+    splitting removes the first three, so text holding U+001F skips the C
+    reader.
+    """
+    lines = text.splitlines()
+    if "\x1f" not in text:
+        try:
+            with warnings.catch_warnings():
+                # numpy warns, rather than raises, on input without rows.
+                warnings.simplefilter("error", UserWarning)
+                M = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+        except (ValueError, UserWarning):
+            pass
+        else:
+            if M.shape[0] == M.shape[1]:
+                return M
+    return _matrix_from_csv_lines(lines, path)
+
+
+def _matrix_from_csv_lines(lines: list[str], path: str) -> np.ndarray:
+    """Reference parser: one ``float()`` call per field."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -110,18 +140,26 @@ def _matrix_from_csv(text: str, path: str) -> np.ndarray:
 def _matrix_from_json(text: str, path: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"{path}: {err}") from err
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError(f"{path}: expected an object with an 'entries' field")
     try:
         M = np.asarray(doc["entries"], dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{path}: bad entries: {err}") from err
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParseError(f"{path}: entries are {M.shape}, not square")
-    if "n" in doc and int(doc["n"]) != M.shape[0]:
-        raise ParseError(f"{path}: declared n={doc['n']} but entries are {M.shape}")
+    if "n" in doc:
+        declared = doc["n"]
+        try:
+            n = int(declared)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ParseError(f"{path}: n must be an integer: {err}") from err
+        if isinstance(declared, float) and n != declared:
+            raise ParseError(f"{path}: n must be an integer, got {declared!r}")
+        if n != M.shape[0]:
+            raise ParseError(f"{path}: declared n={declared} but entries are {M.shape}")
     return M
 
 
@@ -213,10 +251,12 @@ def _tolerances(args) -> Tolerances:
 def cmd_check(args) -> int:
     G = load_matrix(args.input, args.format)
     tol = _tolerances(args)
-    # Both passes share eps_psd, hence the Cholesky factor and the inverse.
-    inverse = invert(G, tol, factor=cholesky(G, tol))
-    cls = classify_green(G, tol, inverse=inverse)
-    relaxed = classify_green(G, tol.scaled(INDETERMINATE_FACTOR), inverse=inverse)
+    G = as_covariance(G, tol)
+    # Both passes share eps_psd and sym_tol, hence the validated covariance,
+    # the Cholesky factor and the inverse.
+    inverse = _covariance_inverse(G, tol)
+    cls = _classify_green(G, inverse, tol)
+    relaxed = _classify_green(G, inverse, tol.scaled(INDETERMINATE_FACTOR))
     verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"
 
     margins = dict(cls.verdict.margins)
@@ -247,7 +287,8 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     G = load_matrix(args.input, args.format)
     tol = _tolerances(args)
-    verdict = is_id_square(G, tol)
+    G = as_covariance(G, tol)
+    verdict = _is_id_square(G, _covariance_inverse(G, tol), tol)
     if not verdict.is_id:
         doc = _meta("decomposition", tol)
         doc.update(
@@ -261,9 +302,7 @@ def cmd_decompose(args) -> int:
         print(f"decompose: not infinitely divisible: "
               f"{_witness_dict(verdict.witness)}", file=sys.stderr)
         return 3
-    dec = decompose(G, tol, verdict=verdict)
-    rec = reconstruct(dec)
-    rec_err = float(np.abs(rec - G).max()) / max(1.0, float(np.abs(G).max()))
+    dec = _decompose(G, tol, verdict)
     doc = _meta("decomposition", tol)
     doc.update(
         {
@@ -277,7 +316,7 @@ def cmd_decompose(args) -> int:
             "g": dec.g.tolist(),
             "g_sym": dec.g_sym.tolist(),
             "mu_weights": dec.mu_weights.tolist(),
-            "reconstruction_error": rec_err,
+            "reconstruction_error": dec.reconstruction_error,
         }
     )
     write_report(doc, args.out)
@@ -290,13 +329,13 @@ def _chain_from_doc(path: str) -> ChainSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"cannot read chain from {path}: {err}") from err
     try:
         T = np.asarray(doc["T"], dtype=float)
         kappa = np.asarray(doc["kappa"], dtype=float)
         c = float(doc.get("c", 1.0))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{path}: missing or malformed chain fields: {err}") from err
     return ChainSpec(T=T, kappa=kappa, c=c)
 

@@ -35,9 +35,9 @@ from .linalg import (
     DEFAULT_TOL,
     SingularMatrixError,
     Tolerances,
+    _cholesky,
     as_covariance,
     as_square_matrix,
-    cholesky,
     invert,
     is_nonneg,
 )
@@ -204,6 +204,11 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
         Precomputed ``A⁻¹`` to reuse instead of inverting ``A``.
     """
     A = as_square_matrix(A)
+    return _is_m_matrix(A, None if inverse is None else as_square_matrix(inverse), tol)
+
+
+def _is_m_matrix(A, inverse, tol: Tolerances):
+    """:func:`is_m_matrix` of validated arrays (``inverse`` may be None)."""
     n = A.shape[0]
     thr = tol.zero_threshold(A)
 
@@ -222,7 +227,7 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
         except SingularMatrixError:
             return MMatrixFailure("singular")
     else:
-        Ainv = as_square_matrix(inverse)
+        Ainv = inverse
     check = is_nonneg(Ainv, tol.zero_threshold(Ainv))
     if not check.ok:
         return MMatrixFailure("inverse_negative", check.index, check.min_value)
@@ -252,8 +257,17 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
 
 
 def _covariance_inverse(G, tol: Tolerances) -> np.ndarray:
-    """``G⁻¹`` from the Cholesky factor that certifies definiteness."""
-    return invert(G, tol, factor=cholesky(G, tol))
+    """``G⁻¹`` of a validated covariance, from the Cholesky factor that
+    certifies definiteness."""
+    return invert(G, tol, factor=_cholesky(G, tol))
+
+
+def _validated(G, tol: Tolerances, inverse):
+    """``G`` checked as a covariance, and ``inverse`` checked or computed."""
+    G = as_covariance(G, tol)
+    if inverse is None:
+        return G, _covariance_inverse(G, tol)
+    return G, as_square_matrix(inverse)
 
 
 def _contradiction_cycle(parents, i, j):
@@ -295,8 +309,11 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL, inverse=None):
     -------
     Signature or NoSignature
     """
-    G = as_covariance(G, tol)
-    A = _covariance_inverse(G, tol) if inverse is None else as_square_matrix(inverse)
+    return _find_signature(*_validated(G, tol, inverse), tol)
+
+
+def _find_signature(G, A, tol: Tolerances):
+    """:func:`find_signature` of a validated covariance and its inverse."""
     A = 0.5 * (A + A.T)  # kill roundoff asymmetry so edges are symmetric
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
@@ -375,10 +392,12 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> IdVerdict:
     margins the decision rested on.  ``inverse`` is a precomputed ``G⁻¹``
     as in :func:`find_signature`.
     """
-    G = as_covariance(G, tol)
-    if inverse is None:
-        inverse = _covariance_inverse(G, tol)
-    sig = find_signature(G, tol, inverse=inverse)
+    return _is_id_square(*_validated(G, tol, inverse), tol)
+
+
+def _is_id_square(G, inverse, tol: Tolerances) -> IdVerdict:
+    """:func:`is_id_square` of a validated covariance and its inverse."""
+    sig = _find_signature(G, inverse, tol)
     if isinstance(sig, NoSignature):
         margins = {
             "zero_threshold": tol.zero_threshold(inverse),
@@ -388,7 +407,7 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> IdVerdict:
 
     conj_inv = sig.conjugate(inverse)
     conj_cov = sig.conjugate(G)
-    result = is_m_matrix(conj_inv, tol, inverse=conj_cov)
+    result = _is_m_matrix(conj_inv, conj_cov, tol)
     off = conj_inv.copy()
     np.fill_diagonal(off, -np.inf)
     margins = {
@@ -456,10 +475,12 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> GreenClass
     ``id_not_green``.  ``inverse`` is a precomputed ``G⁻¹`` as in
     :func:`find_signature`.
     """
-    G = as_covariance(G, tol)
-    if inverse is None:
-        inverse = _covariance_inverse(G, tol)
-    verdict = is_id_square(G, tol, inverse=inverse)
+    return _classify_green(*_validated(G, tol, inverse), tol)
+
+
+def _classify_green(G, inverse, tol: Tolerances) -> GreenClassification:
+    """:func:`classify_green` of a validated covariance and its inverse."""
+    verdict = _is_id_square(G, inverse, tol)
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)
 

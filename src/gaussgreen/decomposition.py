@@ -15,11 +15,11 @@ under which the visit kernel is in detailed balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import IdVerdict, Signature, is_id_square
+from .criteria import IdVerdict, Signature, _covariance_inverse, _is_id_square
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -96,6 +96,9 @@ class GreenDecomposition:
         with respect to ``mu_weights``.
     mu_weights : ndarray
         Reference weights ``u²`` satisfying ``g_ij μ_i = g_ji μ_j``.
+    reconstruction_error : float
+        ``|reconstruct(self) - G|_max / max(1, |G|_max)`` for the input
+        covariance ``G``, as checked when the decomposition was built.
     """
 
     signature: Signature
@@ -106,6 +109,7 @@ class GreenDecomposition:
     g: np.ndarray
     g_sym: np.ndarray
     mu_weights: np.ndarray
+    reconstruction_error: float
 
     @property
     def n(self) -> int:
@@ -166,7 +170,14 @@ def decompose(
     """
     G = as_covariance(G, tol)
     if verdict is None:
-        verdict = is_id_square(G, tol)
+        verdict = _is_id_square(G, _covariance_inverse(G, tol), tol)
+    return _decompose(G, tol, verdict, unit_scaling, c_margin)
+
+
+def _decompose(
+    G, tol: Tolerances, verdict: IdVerdict, unit_scaling=False, c_margin=0.0
+) -> GreenDecomposition:
+    """:func:`decompose` of a validated covariance with its verdict."""
     if not verdict.is_id:
         raise NotInfinitelyDivisibleError(verdict.witness)
     if c_margin < 0.0:
@@ -202,9 +213,9 @@ def decompose(
         g=g,
         g_sym=g_sym,
         mu_weights=mu,
+        reconstruction_error=np.nan,
     )
-    _validate(dec, G, tol, unit_scaling)
-    return dec
+    return replace(dec, reconstruction_error=_validate(dec, G, tol, unit_scaling))
 
 
 def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
@@ -226,7 +237,8 @@ def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
             )
 
 
-def _validate(dec: GreenDecomposition, G, tol: Tolerances, unit_scaling: bool):
+def _validate(dec: GreenDecomposition, G, tol: Tolerances, unit_scaling: bool) -> float:
+    """Check every identity of ``dec``; return its reconstruction error."""
     thr = tol.zero_threshold(dec.T)
     resid_tol = 1e-10 * max(1.0, float(np.abs(dec.g).max()))
 
@@ -262,6 +274,7 @@ def _validate(dec: GreenDecomposition, G, tol: Tolerances, unit_scaling: bool):
     )
     if rel > 1e-9:
         raise NumericalFailureError(f"reconstruction error {rel:.3e}")
+    return rel
 
 
 def reconstruct(dec: GreenDecomposition) -> np.ndarray:

@@ -151,7 +151,11 @@ def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         If a pivot is at most ``eps_psd``; the failing column index is the
         first leading principal minor that is not positive.
     """
-    A = as_covariance(G, tol)
+    return _cholesky(as_covariance(G, tol), tol)
+
+
+def _cholesky(A, tol: Tolerances) -> np.ndarray:
+    """:func:`cholesky` of a covariance that :func:`as_covariance` accepted."""
     if A.shape[0] == 0:
         return A.copy()
     try:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gaussgreen
-from gaussgreen import __version__, cli, linalg
+from gaussgreen import __version__, cli, criteria, decomposition, linalg
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import fbm_cov, sheet_counterexample
@@ -249,7 +249,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise NumericalFailureError("forced")
 
-        monkeypatch.setattr(cli, "decompose", fail)
+        monkeypatch.setattr(cli, "_decompose", fail)
         assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
         assert "internal numerical failure (forced)" in capsys.readouterr().err
 
@@ -279,6 +279,29 @@ def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
             calls.update(cholesky=0, gauss_jordan=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
             assert calls == {"cholesky": 1, "gauss_jordan": 0}, (label, command)
+
+
+def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):
+    calls = []
+    for owner in (linalg, cli, criteria, decomposition):
+        for attr in ("as_covariance", "as_square_matrix"):
+            if hasattr(owner, attr):
+                def counted(M, *args, _orig=getattr(owner, attr), _attr=attr, **kwargs):
+                    calls.append((_attr, id(M)))
+                    return _orig(M, *args, **kwargs)
+
+                monkeypatch.setattr(owner, attr, counted)
+    path = tmp_path / "g.json"
+    write_json_matrix(path, fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5))
+    for command in ("check", "decompose"):
+        calls.clear()
+        assert main([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        # One symmetry scan of the loaded covariance; besides the finiteness
+        # scan inside it, only invert checks it again.
+        loaded = calls[0][1]
+        assert calls[0][0] == "as_covariance"
+        assert [c for c in calls if c[0] == "as_covariance"] == [calls[0]], command
+        assert calls.count(("as_square_matrix", loaded)) == 2, command
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

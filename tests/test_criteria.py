@@ -461,3 +461,17 @@ def test_vectorized_bfs_matches_reference():
         else:
             assert (ours.reason, ours.index, ours.value, ours.cycle) == (
                 ref.reason, ref.index, ref.value, ref.cycle)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [([[1.0, 0.5], [0.2, 1.0]], "not symmetric"),
+     ([[1.0, np.nan], [np.nan, 1.0]], "NaN or Inf"),
+     ([[1.0, 0.0, 0.0]], "must be square")],
+)
+def test_public_entry_points_validate_their_input(entries, message):
+    from gaussgreen.decomposition import decompose
+
+    for fn in (cholesky, find_signature, is_id_square, classify_green, decompose):
+        with pytest.raises(ValueError, match=message):
+            fn(np.array(entries))

@@ -218,6 +218,7 @@ class TestValidationCorpus:
             corpus.append(scale_conjugate(g, d))
         for G in corpus:
             dec = decompose(G)
-            rel = np.abs(reconstruct(dec) - G).max() / max(1.0, np.abs(G).max())
+            rel = float(np.abs(reconstruct(dec) - G).max()) / max(1.0, float(np.abs(G).max()))
             assert rel <= 1e-10
+            assert dec.reconstruction_error == rel
             assert isinstance(dec, GreenDecomposition)
