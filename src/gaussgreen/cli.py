@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
-    MMatrixFailure,
     NoSignature,
     _classify_green,
     _covariance_inverse,
@@ -224,6 +223,7 @@ def _meta(schema: str, tol: Tolerances) -> dict:
 
 
 def _witness_dict(w) -> dict | None:
+    """Report form of a verdict's witness: a NoSignature or an MMatrixFailure."""
     if w is None:
         return None
     if isinstance(w, NoSignature):
@@ -234,14 +234,12 @@ def _witness_dict(w) -> dict | None:
             "value": w.value,
             "cycle": list(w.cycle) if w.cycle is not None else None,
         }
-    if isinstance(w, MMatrixFailure):
-        return {
-            "kind": "m_matrix_failure",
-            "reason": w.reason,
-            "entry": list(w.index) if w.index is not None else None,
-            "value": w.value,
-        }
-    return {"kind": "other", "detail": str(w)}
+    return {
+        "kind": "m_matrix_failure",
+        "reason": w.reason,
+        "entry": list(w.index) if w.index is not None else None,
+        "value": w.value,
+    }
 
 
 def _tolerances(args) -> Tolerances:
@@ -344,7 +342,7 @@ def cmd_simulate(args) -> int:
     chain = _chain_from_doc(args.input)
     runner = simulate_ct_green if args.ct else simulate_green
     report = runner(chain, n_paths=args.paths, seed=args.seed)
-    doc = _meta("simreport", Tolerances(eps_zero=args.eps))
+    doc = _meta("simreport", _tolerances(args))
     doc.update(
         {
             "command": "simulate",
@@ -366,7 +364,7 @@ def cmd_laplace(args) -> int:
     except ValueError as err:
         raise ParseError(f"bad --t: {err}") from err
     exact = laplace_exact(G, t)
-    doc = _meta("laplace", Tolerances(eps_zero=args.eps))
+    doc = _meta("laplace", _tolerances(args))
     doc.update({"command": "laplace", "t": t.tolist(), "exact": exact})
     if args.samples > 0:
         mc = laplace_mc(G, t, n_samples=args.samples, seed=args.seed)
@@ -414,7 +412,7 @@ def cmd_zoo(args) -> int:
         d = _parse_grid(args.scale)
         G = scale_conjugate(G, d)
         params["scale"] = d
-    doc = _meta("matrix", Tolerances(eps_zero=args.eps))
+    doc = _meta("matrix", _tolerances(args))
     doc.update(
         {
             "command": "zoo",
@@ -514,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ct", action="store_true",
                    help="continuous-time occupation instead of visit counts")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
+    common(p, needs_input=False)
 
     p = sub.add_parser("laplace", help="determinant formula and Monte-Carlo check")
     common(p)
@@ -535,16 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", default=None,
                    help="comma-separated positive diagonal to conjugate by")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
+    common(p, needs_input=False)
 
     p = sub.add_parser("sweep", help="verdict table over a parameter sweep")
     p.add_argument("--family", default="fbm")
     p.add_argument("--betas", required=True, help="comma-separated indices")
     p.add_argument("--grids", default=None,
                    help="semicolon-separated comma grids (default: built-in)")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
+    common(p, needs_input=False)
     return parser
 
 

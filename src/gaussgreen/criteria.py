@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,13 +48,11 @@ __all__ = [
     "NoSignature",
     "IdVerdict",
     "GreenClassification",
-    "DominanceCheck",
     "is_m_matrix",
     "find_signature",
     "is_id_square",
     "triple_necessary",
     "triple_sufficient",
-    "is_diag_dominant",
     "classify_green",
 ]
 
@@ -70,9 +67,6 @@ class Signature:
 
     signs: np.ndarray
     components: tuple[tuple[int, ...], ...]
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.signs.astype(float))
 
     def conjugate(self, M) -> np.ndarray:
         """Return ``S M S`` for this signature."""
@@ -101,17 +95,6 @@ class MMatrixCert:
     inv_min_entry: float
     inv_min_index: tuple[int, int]
 
-    @property
-    def ok(self) -> bool:
-        return True
-
-    @property
-    def rho_estimate(self) -> float:
-        """``rho(B)`` from a dense eigensolver; no decision uses it."""
-        if self.B.size == 0:
-            return 0.0
-        return float(np.abs(np.linalg.eigvals(self.B)).max())
-
 
 @dataclass(frozen=True)
 class MMatrixFailure:
@@ -127,10 +110,6 @@ class MMatrixFailure:
     reason: str
     index: tuple[int, int] | None = None
     value: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -165,13 +144,6 @@ class IdVerdict:
     @property
     def status(self) -> str:
         return "ID" if self.is_id else "NotID"
-
-
-class DominanceCheck(NamedTuple):
-    """Row-sum nonnegativity verdict plus the row sums themselves."""
-
-    ok: bool
-    row_sums: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -340,7 +312,7 @@ def _find_signature(G, A, tol: Tolerances):
             if clash.any():
                 j = int(nbrs[np.argmax(clash)])
                 cycle = _contradiction_cycle(parents, i, j)
-                culprit = _worst_positive_edge(A, cycle, thr_a)
+                culprit = _worst_positive_edge(A, cycle)
                 return NoSignature(
                     "cycle",
                     index=culprit,
@@ -363,11 +335,11 @@ def _find_signature(G, A, tol: Tolerances):
     return sig
 
 
-def _worst_positive_edge(A, cycle, thr):
+def _worst_positive_edge(A, cycle):
     """Largest positive off-diagonal of ``A`` among the cycle's edges.
 
-    Every contradiction cycle carries an odd number of positive edges, so
-    the maximum is the canonical unremovable entry.
+    Every contradiction cycle carries an odd number of positive edges, each
+    above the zero band, so the maximum is the canonical unremovable entry.
     """
     best, best_val = None, -np.inf
     k = len(cycle)
@@ -375,9 +347,6 @@ def _worst_positive_edge(A, cycle, thr):
         i, j = cycle[t], cycle[(t + 1) % k]
         if A[i, j] > best_val:
             best, best_val = (min(int(i), int(j)), max(int(i), int(j))), float(A[i, j])
-    if best_val <= thr:  # unreachable for genuine contradictions; keep safe
-        i, j = cycle[-1], cycle[0]
-        best = (min(int(i), int(j)), max(int(i), int(j)))
     return best
 
 
@@ -457,14 +426,6 @@ def triple_sufficient(G, tol: Tolerances = DEFAULT_TOL) -> bool:
     )
 
 
-def is_diag_dominant(A, eps_zero: float) -> DominanceCheck:
-    """Row sums of ``A`` all at least ``-eps_zero`` (plus the sums)."""
-    A = as_square_matrix(A)
-    row_sums = A.sum(axis=1)
-    ok = bool(row_sums.min() >= -eps_zero) if A.size else True
-    return DominanceCheck(ok, row_sums)
-
-
 def classify_green(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> GreenClassification:
     """Sort a covariance into green / id_not_green / not_id.
 
@@ -484,16 +445,12 @@ def _classify_green(G, inverse, tol: Tolerances) -> GreenClassification:
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)
 
-    dominance = is_diag_dominant(inverse, tol.zero_threshold(inverse))
+    row_sums = inverse.sum(axis=1)
     # A nontrivial signature can only arise from a positive off-diagonal of
     # G^-1, which the direct M-matrix test would reject; so the verdict's
     # certificate doubles as the trivial-signature certificate.
-    if verdict.signature.is_trivial:
-        if dominance.ok:
-            return GreenClassification(
-                "green", verdict, verdict.cert, dominance.row_sums
-            )
-        return GreenClassification(
-            "id_not_green", verdict, verdict.cert, dominance.row_sums
-        )
-    return GreenClassification("id_not_green", verdict, None, dominance.row_sums)
+    if not verdict.signature.is_trivial:
+        return GreenClassification("id_not_green", verdict, None, row_sums)
+    dominant = row_sums.min() >= -tol.zero_threshold(inverse)
+    kind = "green" if dominant else "id_not_green"
+    return GreenClassification(kind, verdict, verdict.cert, row_sums)

@@ -67,7 +67,7 @@ class Tolerances:
         Relative zero band; an entry of a matrix ``M`` counts as zero when
         its magnitude is at most ``eps_zero * max(1, |M|_max)``.
     eps_psd : float
-        Pivot floor for Cholesky and LU elimination.
+        Pivot floor for Cholesky and Gauss–Jordan elimination.
     sym_tol : float
         Slack allowed between ``M[i, j]`` and ``M[j, i]`` for matrices
         declared symmetric.

@@ -144,17 +144,16 @@ def _per_start(rngs, rows, edges, draw) -> np.ndarray:
     return out
 
 
-def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool):
+def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> SimReport:
     """Visit counts (or occupation times) per start state, one RNG stream each.
 
-    Returns ``(estimate, stderr, overflow)``; estimates are means over
-    ``n_paths`` independent killed trajectories started from each state,
-    counting the start itself.  Start state ``s`` draws only from child
-    ``s`` of ``SeedSequence(seed)``: per step, one uniform per surviving
-    path in path order, then (occupation times) one exponential sojourn
-    per path that jumped.  Start states are simulated in groups, which
-    leaves every stream, and so every report, as it would be one start at
-    a time.
+    Estimates are means over ``n_paths`` independent killed trajectories
+    started from each state, counting the start itself.  Start state ``s``
+    draws only from child ``s`` of ``SeedSequence(seed)``: per step, one
+    uniform per surviving path in path order, then (occupation times) one
+    exponential sojourn per path that jumped.  Start states are simulated
+    in groups, which leaves every stream, and so every report, as it would
+    be one start at a time.
     """
     rho = validate_chain(chain)
     if n_paths < 1:
@@ -225,7 +224,13 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool):
                 stderr[start] = tallies[k].std(axis=0, ddof=1) / np.sqrt(n_paths)
             else:
                 stderr[start] = 0.0
-    return estimate, stderr, overflow
+    return SimReport(
+        estimate=estimate,
+        stderr=stderr,
+        n_draws=int(n_paths),
+        seed=int(seed),
+        overflow=overflow,
+    )
 
 
 @dataclass(frozen=True)
@@ -263,14 +268,7 @@ def simulate_green(chain: ChainSpec, n_paths: int, seed) -> SimReport:
     state ``j`` includes the visit at time 0.  The estimate is unbiased for
     ``(I - T)⁻¹`` up to the audited truncation cap.
     """
-    estimate, stderr, overflow = _run_paths(chain, n_paths, seed, False)
-    return SimReport(
-        estimate=estimate,
-        stderr=stderr,
-        n_draws=int(n_paths),
-        seed=int(seed),
-        overflow=overflow,
-    )
+    return _run_paths(chain, n_paths, seed, False)
 
 
 def simulate_ct_green(chain: ChainSpec, n_paths: int, seed) -> SimReport:
@@ -279,14 +277,7 @@ def simulate_ct_green(chain: ChainSpec, n_paths: int, seed) -> SimReport:
     Every visit contributes an exponential sojourn with mean ``1/c``, so
     the expected occupation matrix is ``g / c``.
     """
-    estimate, stderr, overflow = _run_paths(chain, n_paths, seed, True)
-    return SimReport(
-        estimate=estimate,
-        stderr=stderr,
-        n_draws=int(n_paths),
-        seed=int(seed),
-        overflow=overflow,
-    )
+    return _run_paths(chain, n_paths, seed, True)
 
 
 def sample_gaussian(G, n_samples: int, seed) -> np.ndarray:
@@ -303,20 +294,28 @@ def sample_gaussian(G, n_samples: int, seed) -> np.ndarray:
     return z @ L.T
 
 
+def _rates(t, n: int) -> np.ndarray:
+    """Validate ``t`` as ``n`` finite, entrywise nonnegative rates."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (n,):
+        raise ValueError(f"t has shape {t.shape}, expected ({n},)")
+    if not np.isfinite(t).all():
+        raise ValueError("t contains NaN or Inf entries")
+    if t.size and t.min() < 0.0:
+        raise ValueError("t must be entrywise nonnegative")
+    return t
+
+
 def laplace_exact(G, t) -> float:
     """Laplace transform of the squared vector: ``det(I + G diag(t))^(-1/2)``.
 
     The normalization pairs each rate with half a squared coordinate, i.e.
     the value equals ``E exp(-sum_i t_i x_i^2 / 2)`` for ``x`` centered
-    Gaussian with covariance ``G``.  Requires ``t >= 0`` entrywise; the
+    Gaussian with covariance ``G``.  Requires finite ``t >= 0`` entrywise; the
     value lies in ``(0, 1]``.
     """
     G = as_covariance(G)
-    t = np.asarray(t, dtype=float)
-    if t.shape != (G.shape[0],):
-        raise ValueError(f"t has shape {t.shape}, expected ({G.shape[0]},)")
-    if t.size and t.min() < 0.0:
-        raise ValueError("t must be entrywise nonnegative")
+    t = _rates(t, G.shape[0])
     sign, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + G * t[None, :])
     if sign <= 0.0:
         raise ValueError(
@@ -332,10 +331,8 @@ def laplace_mc(G, t, n_samples: int, seed) -> SimReport:
     Averages ``exp(-sum_i t_i x_i^2 / 2)``, matching the half-square
     normalization of the determinant formula.
     """
-    t = np.asarray(t, dtype=float)
-    if t.size and t.min() < 0.0:
-        raise ValueError("t must be entrywise nonnegative")
-    x = sample_gaussian(G, n_samples, seed)
+    x = sample_gaussian(G, n_samples, seed)  # validates G and gives its dimension
+    t = _rates(t, x.shape[1])
     values = np.exp(-0.5 * (x**2) @ t)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -228,6 +228,21 @@ class TestCmdLaplace:
         assert main(["laplace", "--input", str(min_kernel_csv), "--t", "1,x"]) == 1
         assert main(["laplace", "--input", str(min_kernel_csv), "--t=-1,0,0"]) == 1
 
+    def test_nan_rates_are_input_error(self, tmp_path):
+        path = tmp_path / "eye.csv"
+        write_csv(path, np.eye(2))
+        out = tmp_path / "lap.json"
+        src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussgreen.cli", "laplace", "--input", str(path),
+             "--t", "nan,1", "--samples", "50", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: t contains NaN or Inf entries\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_chain_is_input_error_without_traceback(self, tmp_path):
@@ -302,6 +317,10 @@ def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):
         assert calls[0][0] == "as_covariance"
         assert [c for c in calls if c[0] == "as_covariance"] == [calls[0]], command
         assert calls.count(("as_square_matrix", loaded)) == 2, command
+    # check re-scans neither the inverse nor any matrix derived from it.
+    calls.clear()
+    assert main(["check", "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert {m for attr, m in calls if attr == "as_square_matrix"} == {calls[0][1]}
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

@@ -213,6 +213,20 @@ class TestLaplaceExact:
         assert laplace_exact(G, t) >= laplace_exact(G, t + bump) - 1e-12
 
 
+@pytest.mark.parametrize("t, match", [
+    ([[1.0], [1.0]], r"shape \(2, 1\), expected \(2,\)"),
+    ([1.0], r"shape \(1,\), expected \(2,\)"),
+    ([np.nan, 1.0], "NaN or Inf"),
+    ([np.inf, 1.0], "NaN or Inf"),
+    ([-0.1, 1.0], "nonnegative"),
+])
+def test_laplace_rates_rejected_alike(t, match):
+    with pytest.raises(ValueError, match=match):
+        laplace_exact(np.eye(2), t)
+    with pytest.raises(ValueError, match=match):
+        laplace_mc(np.eye(2), t, n_samples=10, seed=0)
+
+
 class TestLaplaceMc:
     def test_zero_rates_exact(self):
         report = laplace_mc(MIN_KERNEL, np.zeros(3), n_samples=1000, seed=1)
