@@ -37,12 +37,7 @@ from .criteria import (
     _is_id_square,
     is_id_square,
 )
-from .decomposition import (
-    NonPositiveScalingError,
-    NumericalFailureError,
-    SymmetryViolationError,
-    _decompose,
-)
+from .decomposition import NumericalFailureError, SymmetryViolationError, _decompose
 from .kernels import (
     brownian_cov,
     fbm_cov,
@@ -52,6 +47,7 @@ from .kernels import (
     sheet_counterexample,
 )
 from .linalg import (
+    DEFAULT_TOL,
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
@@ -210,9 +206,10 @@ def write_report(doc: dict, out: str | None) -> None:
         raise
 
 
-def _meta(schema: str, tol: Tolerances) -> dict:
+def _meta(schema: str, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Report header; ``schema`` is ``kind/version``, versioned per kind."""
     return {
-        "schema": f"{SCHEMA_PREFIX}.{schema}/1",
+        "schema": f"{SCHEMA_PREFIX}.{schema}",
         "version": __version__,
         "tolerances": {
             "eps_zero": tol.eps_zero,
@@ -260,7 +257,7 @@ def cmd_check(args) -> int:
     margins = dict(cls.verdict.margins)
     if cls.row_sums is not None:
         margins["min_row_sum"] = float(cls.row_sums.min())
-    doc = _meta("check", tol)
+    doc = _meta("check/1", tol)
     doc.update(
         {
             "command": "check",
@@ -287,24 +284,17 @@ def cmd_decompose(args) -> int:
     tol = _tolerances(args)
     G = as_covariance(G, tol)
     verdict = _is_id_square(G, _covariance_inverse(G, tol), tol)
+    doc = _meta("decomposition/2", tol)
+    doc["command"] = "decompose"
     if not verdict.is_id:
-        doc = _meta("decomposition", tol)
-        doc.update(
-            {
-                "command": "decompose",
-                "verdict": "not_id",
-                "witness": _witness_dict(verdict.witness),
-            }
-        )
+        doc.update({"verdict": "not_id", "witness": _witness_dict(verdict.witness)})
         write_report(doc, args.out)
         print(f"decompose: not infinitely divisible: "
               f"{_witness_dict(verdict.witness)}", file=sys.stderr)
         return 3
     dec = _decompose(G, tol, verdict)
-    doc = _meta("decomposition", tol)
     doc.update(
         {
-            "command": "decompose",
             "verdict": "id",
             "signature": dec.signature.signs.tolist(),
             "u": dec.u.tolist(),
@@ -312,8 +302,6 @@ def cmd_decompose(args) -> int:
             "T": dec.T.tolist(),
             "kappa": dec.kappa.tolist(),
             "g": dec.g.tolist(),
-            "g_sym": dec.g_sym.tolist(),
-            "mu_weights": dec.mu_weights.tolist(),
             "reconstruction_error": dec.reconstruction_error,
         }
     )
@@ -342,7 +330,7 @@ def cmd_simulate(args) -> int:
     chain = _chain_from_doc(args.input)
     runner = simulate_ct_green if args.ct else simulate_green
     report = runner(chain, n_paths=args.paths, seed=args.seed)
-    doc = _meta("simreport", _tolerances(args))
+    doc = _meta("simreport/1")
     doc.update(
         {
             "command": "simulate",
@@ -358,13 +346,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_laplace(args) -> int:
+    if args.samples < 0:
+        raise ParseError(f"--samples must be nonnegative, got {args.samples}")
     G = load_matrix(args.input, args.format)
     try:
         t = np.asarray([float(v) for v in args.t.split(",")], dtype=float)
     except ValueError as err:
         raise ParseError(f"bad --t: {err}") from err
     exact = laplace_exact(G, t)
-    doc = _meta("laplace", _tolerances(args))
+    doc = _meta("laplace/1")
     doc.update({"command": "laplace", "t": t.tolist(), "exact": exact})
     if args.samples > 0:
         mc = laplace_mc(G, t, n_samples=args.samples, seed=args.seed)
@@ -412,7 +402,7 @@ def cmd_zoo(args) -> int:
         d = _parse_grid(args.scale)
         G = scale_conjugate(G, d)
         params["scale"] = d
-    doc = _meta("matrix", _tolerances(args))
+    doc = _meta("matrix/1")
     doc.update(
         {
             "command": "zoo",
@@ -469,7 +459,7 @@ def cmd_sweep(args) -> int:
             "not_id": counts["not_id"],
             "first_not_id": first_witness,
         }
-    doc = _meta("sweep", tol)
+    doc = _meta("sweep/1", tol)
     doc.update(
         {"command": "sweep", "family": "fbm", "rows": rows, "summary": summary}
     )
@@ -492,12 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, eps=True):
         if needs_input:
             p.add_argument("--input", required=True, help="matrix file (csv or json)")
             p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--eps", type=float, default=1e-10,
-                       help="relative zero band for sign decisions")
+        if eps:
+            p.add_argument("--eps", type=float, default=DEFAULT_TOL.eps_zero,
+                           help="relative zero band for sign decisions")
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("check", help="classify a covariance")
@@ -512,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ct", action="store_true",
                    help="continuous-time occupation instead of visit counts")
-    common(p, needs_input=False)
+    common(p, needs_input=False, eps=False)
 
     p = sub.add_parser("laplace", help="determinant formula and Monte-Carlo check")
-    common(p)
+    common(p, eps=False)
     p.add_argument("--t", required=True, help="comma-separated nonnegative rates")
     p.add_argument("--samples", type=int, default=0,
                    help="Monte-Carlo sample count (0 = exact only)")
@@ -532,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", default=None,
                    help="comma-separated positive diagonal to conjugate by")
-    common(p, needs_input=False)
+    common(p, needs_input=False, eps=False)
 
     p = sub.add_parser("sweep", help="verdict table over a parameter sweep")
     p.add_argument("--family", default="fbm")
@@ -565,8 +556,7 @@ def main(argv=None) -> int:
     except (SingularMatrixError, InvalidChainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NumericalFailureError, NonPositiveScalingError,
-            SymmetryViolationError) as err:
+    except (NumericalFailureError, SymmetryViolationError) as err:
         print(f"error: internal numerical failure ({err})", file=sys.stderr)
         return 4
 

@@ -5,11 +5,12 @@ infinitely divisible square exactly when some ±1 diagonal conjugation turns
 ``G⁻¹`` into an M-matrix (nonpositive off-diagonals, nonnegative inverse).
 This module certifies or refutes that property with explicit witnesses:
 
-* :func:`is_m_matrix` produces an ``(c, B)`` splitting certificate with a
-  certified spectral-radius bracket, or a typed failure.  The bracket comes
-  from the positive vector ``u = A⁻¹ 𝟙``, which ``A`` maps to ``𝟙``: a
-  Z-matrix with such a vector is a nonsingular M-matrix, and the
-  Collatz–Wielandt ratios ``(B u)_i / u_i`` enclose ``rho(B)``.
+* :func:`is_m_matrix` produces an ``(c, B, u)`` splitting certificate with
+  a certified spectral-radius bracket, or a typed failure.  The bracket
+  comes from the positive vector ``u = A⁻¹ 𝟙``, which ``A`` maps to ``𝟙``:
+  a Z-matrix with such a vector is a nonsingular M-matrix, and the
+  Collatz–Wielandt ratios ``(B u)_i / u_i`` enclose ``rho(B)``.  The same
+  ``u`` scales the killed chain of :mod:`gaussgreen.decomposition`.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle / entry witness.
@@ -83,13 +84,15 @@ class Signature:
 class MMatrixCert:
     """Certificate that ``A`` is a nonsingular M-matrix.
 
-    ``A = c I - B`` with ``B >= 0`` (within the zero band), the bracket
-    ``rho_lower <= rho(B) <= rho_upper < c`` certified, and the minimum
-    entry of ``A⁻¹`` recorded as nonnegativity evidence.
+    ``A = c I - B`` with ``B >= 0`` (within the zero band), the positive
+    vector ``u = A⁻¹ 𝟙`` with ``A u = 𝟙``, the bracket
+    ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies, and the
+    minimum entry of ``A⁻¹`` recorded as nonnegativity evidence.
     """
 
     c: float
     B: np.ndarray
+    u: np.ndarray
     rho_lower: float
     rho_upper: float
     inv_min_entry: float
@@ -221,6 +224,7 @@ def _is_m_matrix(A, inverse, tol: Tolerances):
     return MMatrixCert(
         c=c,
         B=B,
+        u=u,
         rho_lower=rho_lower,
         rho_upper=rho_upper,
         inv_min_entry=check.min_value,

@@ -6,11 +6,12 @@ Once ``S G S`` has an M-matrix inverse ``A = c I - B``, the positive vector
 strictly substochastic transition matrix, the killed chain it defines is
 transient, and its expected-visit-count matrix ``g = (I - T)⁻¹`` reproduces
 the covariance through ``c · D (S G S) D⁻¹ = g``.  This module builds that
-object from the M-matrix certificate of the verdict, with ``g`` in that
-closed form and no further inversion, verifies every identity it claims
-(``(I - T) g = I`` among them), and exposes the symmetric form
-``g̃ = c · D (S G S) D`` together with the reference weights ``μ = u²``
-under which the visit kernel is in detailed balance.
+object from the M-matrix certificate of the verdict, which carries both the
+split ``c I - B`` and ``u``, with ``g`` in that closed form and no further
+inversion.  It verifies every identity it claims (``(I - T) g = I`` among
+them), and :func:`symmetric_green` derives from ``g`` and ``u`` the
+symmetric form ``g̃ = c · D (S G S) D`` together with the reference weights
+``μ = u²`` under which the visit kernel is in detailed balance.
 """
 
 from __future__ import annotations
@@ -20,21 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import IdVerdict, Signature, _covariance_inverse, _is_id_square
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_covariance,
-    as_square_matrix,
-    transience_bound,
-)
+from .linalg import DEFAULT_TOL, Tolerances, as_covariance, transience_bound
 
 __all__ = [
     "GreenDecomposition",
     "NotInfinitelyDivisibleError",
-    "NonPositiveScalingError",
     "NumericalFailureError",
     "SymmetryViolationError",
-    "row_sum_scaling",
     "decompose",
     "reconstruct",
     "symmetric_green",
@@ -47,15 +40,6 @@ class NotInfinitelyDivisibleError(Exception):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"covariance is not infinitely divisible: {witness}")
-
-
-class NonPositiveScalingError(Exception):
-    """A row-sum scaling entry was not strictly positive."""
-
-    def __init__(self, index, value):
-        self.index = int(index)
-        self.value = float(value)
-        super().__init__(f"row-sum scaling u[{index}] = {value:.3e} is not positive")
 
 
 class NumericalFailureError(Exception):
@@ -82,7 +66,8 @@ class GreenDecomposition:
     signature : Signature
         Sign flips applied first; ``Gp = S G S`` is entrywise nonnegative.
     u : ndarray
-        Positive scaling ``Gp @ 𝟙``; the conjugation below uses ``D = diag(1/u)``.
+        Positive scaling ``Gp @ 𝟙``, the certificate's ``u``; the conjugation
+        below uses ``D = diag(1/u)``.
     c : float
         Jump rate; ``Gp⁻¹ = c I - B`` with ``B >= 0``.
     T : ndarray
@@ -91,11 +76,6 @@ class GreenDecomposition:
         Per-state killing probabilities ``1 - T @ 𝟙``.
     g : ndarray
         Expected visit counts ``(I - T)⁻¹``; equals ``c D Gp D⁻¹``.
-    g_sym : ndarray
-        Symmetric form ``c Gp_ij / (u_i u_j)``; density of the visit kernel
-        with respect to ``mu_weights``.
-    mu_weights : ndarray
-        Reference weights ``u²`` satisfying ``g_ij μ_i = g_ji μ_j``.
     reconstruction_error : float
         ``|reconstruct(self) - G|_max / max(1, |G|_max)`` for the input
         covariance ``G``, as checked when the decomposition was built.
@@ -107,35 +87,11 @@ class GreenDecomposition:
     T: np.ndarray
     kappa: np.ndarray
     g: np.ndarray
-    g_sym: np.ndarray
-    mu_weights: np.ndarray
     reconstruction_error: float
 
     @property
     def n(self) -> int:
         return self.T.shape[0]
-
-
-def row_sum_scaling(Gp, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Row sums of a nonnegative covariance, checked strictly positive.
-
-    For positive definite nonnegative ``Gp`` this realizes the diagonal
-    conjugation that gives ``Gp⁻¹`` strictly positive row sums, because
-    ``Gp⁻¹ (Gp 𝟙) = 𝟙``.
-    """
-    Gp = as_square_matrix(Gp, name="scaled covariance")
-    thr = tol.zero_threshold(Gp)
-    if Gp.size and Gp.min() < -thr:
-        i, j = np.unravel_index(int(np.argmin(Gp)), Gp.shape)
-        raise ValueError(
-            f"row_sum_scaling expects a nonnegative matrix; entry "
-            f"[{i},{j}] = {Gp[i, j]:.3e}"
-        )
-    u = Gp.sum(axis=1)
-    if u.size and u.min() <= thr:
-        k = int(np.argmin(u))
-        raise NonPositiveScalingError(k, u[k])
-    return u
 
 
 def decompose(
@@ -167,6 +123,9 @@ def decompose(
     NumericalFailureError
         When any constructed identity fails its tolerance; nothing is
         clamped silently.
+    SymmetryViolationError
+        When the visit kernel ``g`` fails detailed balance with respect to
+        ``u²`` (see :func:`symmetric_green`).
     """
     G = as_covariance(G, tol)
     if verdict is None:
@@ -188,21 +147,20 @@ def _decompose(
     Gp = sig.conjugate(G)
     _check_flip_invariance(Gp, sig, tol)
 
-    # The certificate splits Gp⁻¹ = c I - B; a larger rate only adds the
-    # margin to the diagonal of B.
-    c = verdict.cert.c + float(c_margin)
-    B = verdict.cert.B + float(c_margin) * np.eye(n)
+    # The certificate splits Gp⁻¹ = c I - B with Gp⁻¹ u = 𝟙; a larger rate
+    # only adds the margin to the diagonal of B.
+    cert = verdict.cert
+    c = cert.c + float(c_margin)
+    B = cert.B + float(c_margin) * np.eye(n)
 
     if unit_scaling:
         u = np.ones(n)
         T = B / c
     else:
-        u = row_sum_scaling(Gp, tol)
+        u = cert.u
         T = B * u[None, :] / (c * u[:, None])
     kappa = 1.0 - T.sum(axis=1)
     g = c * Gp * u[None, :] / u[:, None]
-    g_sym = c * Gp / np.outer(u, u)
-    mu = u**2
 
     dec = GreenDecomposition(
         signature=sig,
@@ -211,8 +169,6 @@ def _decompose(
         T=T,
         kappa=kappa,
         g=g,
-        g_sym=g_sym,
-        mu_weights=mu,
         reconstruction_error=np.nan,
     )
     return replace(dec, reconstruction_error=_validate(dec, G, tol, unit_scaling))
@@ -265,9 +221,7 @@ def _validate(dec: GreenDecomposition, G, tol: Tolerances, unit_scaling: bool) -
     if float(np.abs((eye - dec.T) @ dec.g - eye).max()) > resid_tol:
         raise NumericalFailureError("(I - T) g deviates from the identity")
 
-    gap = np.abs(dec.g_sym - dec.g_sym.T)
-    if float(gap.max()) > tol.sym_tol * max(1.0, float(np.abs(dec.g_sym).max())):
-        raise NumericalFailureError("symmetric visit kernel is not symmetric")
+    symmetric_green(dec, tol)
 
     rel = float(np.abs(reconstruct(dec) - G).max()) / max(
         1.0, float(np.abs(G).max())
@@ -286,9 +240,10 @@ def reconstruct(dec: GreenDecomposition) -> np.ndarray:
 def symmetric_green(dec: GreenDecomposition, tol: Tolerances = DEFAULT_TOL):
     """Symmetric density of the visit kernel and its reference weights.
 
-    Returns ``(g_sym, mu)`` with ``g_sym_ij = g_ij / mu_j`` symmetric, i.e.
-    the detailed-balance identity ``g_ij μ_i = g_ji μ_j`` holds within
-    tolerance.
+    Returns ``(g_sym, mu)`` with ``mu = u²`` and ``g_sym_ij = g_ij / mu_j``,
+    which is ``c Gp_ij / (u_i u_j)`` with ``Gp = S G S``.  It is symmetric,
+    i.e. the detailed-balance identity ``g_ij μ_i = g_ji μ_j`` holds within
+    tolerance.  :func:`decompose` runs this check on every chain it builds.
 
     Raises
     ------
@@ -296,7 +251,7 @@ def symmetric_green(dec: GreenDecomposition, tol: Tolerances = DEFAULT_TOL):
         When detailed balance fails, which signals that the original input
         was not a symmetric covariance.
     """
-    mu = dec.mu_weights
+    mu = dec.u**2
     g_sym = dec.g / mu[None, :]
     gap = np.abs(g_sym - g_sym.T)
     scale = max(1.0, float(np.abs(g_sym).max()))

@@ -87,8 +87,8 @@ def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> float:
     gap = np.abs(T.sum(axis=1) + kappa - 1.0)
     if gap.max() > max(thr, 1e-9):
         raise InvalidChainError("rows of T plus kappa do not sum to 1")
-    if chain.c <= 0.0:
-        raise InvalidChainError("rate c must be positive")
+    if not (np.isfinite(chain.c) and chain.c > 0.0):
+        raise InvalidChainError(f"rate c must be finite and positive, got {chain.c}")
     rho = transience_bound(T)
     if rho >= 1.0:
         raise InvalidChainError("cannot certify spectral radius of T below 1")

@@ -268,6 +268,34 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
         assert "internal numerical failure (forced)" in capsys.readouterr().err
 
+    def test_detailed_balance_failure_exits_four(self, min_kernel_csv, monkeypatch, capsys):
+        def fail(dec, tol):
+            raise decomposition.SymmetryViolationError((0, 1), 1.0)
+
+        monkeypatch.setattr(decomposition, "symmetric_green", fail)
+        assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
+        assert "detailed balance violated at (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+    def test_non_finite_chain_rate_is_input_error(self, tmp_path, capsys, rate):
+        path = tmp_path / "chain.json"
+        path.write_text('{"T": [[0.5]], "kappa": [0.5], "c": %s}' % rate)
+        out = tmp_path / "rep.json"
+        for extra in ([], ["--ct"]):
+            argv = ["simulate", "--input", str(path), "--paths", "10", "--out", str(out)]
+            assert main(argv + extra) == 1
+            assert "rate c must be finite and positive" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_negative_samples_is_input_error(self, min_kernel_csv, tmp_path, capsys):
+        out = tmp_path / "lap.json"
+        argv = ["laplace", "--input", str(min_kernel_csv), "--t", "1,1,1", "--out", str(out)]
+        assert main(argv + ["--samples", "-5"]) == 1
+        assert capsys.readouterr().err == "error: --samples must be nonnegative, got -5\n"
+        assert not out.exists()
+        assert main(argv + ["--samples", "0"]) == 0
+        assert "mc" not in json.loads(out.read_text())
+
     def test_nonpositive_laplace_determinant_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "indef.csv"
         write_csv(path, [[1.0, 3.0], [3.0, 1.0]])
@@ -384,6 +412,26 @@ def test_cached_parser_leaks_no_flags(tmp_path, min_kernel_csv, monkeypatch):
         assert main(argv + ["--out", str(shared)]) == 0
         assert shared.read_bytes() == (tmp_path / f"fresh{k}.json").read_bytes(), argv
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--input", "unread.json"],
+    ["laplace", "--input", "unread.csv", "--t", "1"],
+    ["zoo", "--family", "counterexample"],
+])
+def test_eps_only_where_a_tolerance_is_read(argv):
+    _, unknown = cli.build_parser().parse_known_args(argv + ["--eps", "0.3"])
+    assert unknown == ["--eps", "0.3"]
+
+
+def test_eps_sets_the_reported_tolerance(min_kernel_csv, tmp_path):
+    for command in ("check", "decompose"):
+        out = tmp_path / f"{command}.json"
+        main([command, "--input", str(min_kernel_csv), "--eps", "1e-9", "--out", str(out)])
+        assert json.loads(out.read_text())["tolerances"]["eps_zero"] == 1e-9
+    out = tmp_path / "sweep.json"
+    main(["sweep", "--betas", "0.5", "--grids", "1,2", "--eps", "1e-9", "--out", str(out)])
+    assert json.loads(out.read_text())["tolerances"]["eps_zero"] == 1e-9
 
 
 def test_main_dispatches_through_rebound_commands(monkeypatch):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussgreen.criteria import classify_green
+from gaussgreen.criteria import classify_green, is_id_square
 from gaussgreen.decomposition import (
     GreenDecomposition,
-    NonPositiveScalingError,
     NotInfinitelyDivisibleError,
     NumericalFailureError,
     decompose,
     reconstruct,
-    row_sum_scaling,
     symmetric_green,
 )
 from gaussgreen.kernels import fbm_cov, random_green, scale_conjugate, sheet_counterexample
@@ -22,28 +22,43 @@ MIN_KERNEL_G = np.array(
 )
 
 
+def scaling_vectors(G):
+    """``u`` of the decomposition and of the certificate, computed apart."""
+    return decompose(G).u, is_id_square(G).cert.u
+
+
 class TestRowSumScaling:
+    """``u = (S G S) 𝟙`` is read from the M-matrix certificate."""
+
     def test_min_kernel(self):
-        np.testing.assert_allclose(row_sum_scaling(MIN_KERNEL), [3.0, 5.0, 6.0])
+        for u in scaling_vectors(MIN_KERNEL):
+            np.testing.assert_allclose(u, [3.0, 5.0, 6.0])
 
     def test_identity(self):
-        np.testing.assert_allclose(row_sum_scaling(np.eye(3)), np.ones(3))
+        for u in scaling_vectors(np.eye(3)):
+            np.testing.assert_allclose(u, np.ones(3))
 
     def test_scalar(self):
-        np.testing.assert_allclose(row_sum_scaling(np.array([[2.0]])), [2.0])
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            row_sum_scaling(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-
-    def test_zero_row_sum_flagged(self):
-        with pytest.raises(NonPositiveScalingError) as err:
-            row_sum_scaling(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert err.value.index == 1
+        for u in scaling_vectors(np.array([[2.0]])):
+            np.testing.assert_allclose(u, [2.0])
 
     def test_inverse_maps_scaling_to_ones(self):
-        u = row_sum_scaling(MIN_KERNEL)
-        np.testing.assert_allclose(np.linalg.inv(MIN_KERNEL) @ u, np.ones(3), atol=1e-12)
+        for u in scaling_vectors(MIN_KERNEL):
+            np.testing.assert_allclose(np.linalg.inv(MIN_KERNEL) @ u, np.ones(3), atol=1e-12)
+
+    def test_decomposition_scaling_is_the_certificate_vector(self):
+        S0 = np.diag([1.0, -1.0, 1.0, 1.0])
+        instances = [MIN_KERNEL, S0 @ min_kernel(4) @ S0,
+                     scale_conjugate(random_green(5, seed=4)[1], [1, 3, 0.5, 2, 1])]
+        for G in instances:
+            verdict = is_id_square(G)
+            cert, sig = verdict.cert, verdict.signature
+            u = decompose(G).u
+            np.testing.assert_array_equal(u, cert.u)
+            np.testing.assert_array_equal(u, sig.conjugate(G).sum(axis=1))
+            A = cert.c * np.eye(len(u)) - cert.B
+            np.testing.assert_allclose(A @ cert.u, np.ones(len(u)), atol=1e-10)
+            np.testing.assert_allclose(A, sig.conjugate(np.linalg.inv(G)), atol=1e-10)
 
 
 class TestDecompose:
@@ -158,7 +173,8 @@ class TestSymmetricGreen:
         np.testing.assert_allclose(
             dec.g * mu[:, None], (dec.g * mu[:, None]).T, atol=1e-10
         )
-        np.testing.assert_allclose(g_sym, dec.g_sym, atol=1e-12)
+        Gp = dec.signature.conjugate(MIN_KERNEL)
+        np.testing.assert_allclose(g_sym, dec.c * Gp / np.outer(dec.u, dec.u), atol=1e-12)
 
     def test_scalar(self):
         dec = decompose(np.array([[2.0]]))
@@ -222,3 +238,66 @@ class TestValidationCorpus:
             assert rel <= 1e-10
             assert dec.reconstruction_error == rel
             assert isinstance(dec, GreenDecomposition)
+
+
+@st.composite
+def random_green_inputs(draw):
+    return random_green(draw(st.integers(1, 8)), draw(st.integers(0, 10_000)))[1]
+
+
+@st.composite
+def fbm_inputs(draw):
+    steps = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7))
+    return fbm_cov(np.cumsum(steps), draw(st.floats(0.2, 1.0)))
+
+
+@st.composite
+def flipped_block_inputs(draw):
+    """Block-diagonal covariance of connected blocks; the first block is
+    conjugated by a mixed sign vector, so its signature is not trivial."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    sizes.insert(0, draw(st.integers(2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    G = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for m in sizes:
+        G[start:start + m, start:start + m] = random_green(m, int(rng.integers(1 << 31)))[1]
+        start += m
+    signs = np.ones(len(G))
+    signs[rng.permutation(sizes[0])[: draw(st.integers(1, sizes[0] - 1))]] = -1.0
+    return signs[:, None] * G * signs[None, :], len(sizes)
+
+
+def assert_round_trip_in_detailed_balance(G):
+    dec = decompose(G)
+    rel = float(np.abs(reconstruct(dec) - G).max()) / max(1.0, float(np.abs(G).max()))
+    assert rel <= 1e-9
+    assert dec.reconstruction_error == rel
+    g_sym, mu = symmetric_green(dec)
+    np.testing.assert_array_equal(mu, dec.u**2)
+    np.testing.assert_allclose(g_sym, g_sym.T, rtol=1e-9, atol=1e-12)
+    balance = dec.g * mu[:, None]
+    np.testing.assert_allclose(balance, balance.T, rtol=1e-9, atol=1e-12)
+    Gp = dec.signature.conjugate(G)
+    np.testing.assert_allclose(g_sym, dec.c * Gp / np.outer(dec.u, dec.u), rtol=1e-12)
+    return dec
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(G=random_green_inputs())
+    def test_random_green(self, G):
+        assert_round_trip_in_detailed_balance(G)
+
+    @settings(max_examples=30, deadline=None)
+    @given(G=fbm_inputs())
+    def test_fbm_up_to_brownian(self, G):
+        assert_round_trip_in_detailed_balance(G)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=flipped_block_inputs())
+    def test_flipped_blocks(self, case):
+        G, n_blocks = case
+        dec = assert_round_trip_in_detailed_balance(G)
+        assert len(dec.signature.components) == n_blocks
+        assert not dec.signature.is_trivial

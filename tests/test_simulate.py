@@ -52,6 +52,14 @@ class TestValidateChain:
         with pytest.raises(InvalidChainError, match="rate"):
             validate_chain(chain)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_rate_finite(self, c):
+        chain = ChainSpec(T=np.zeros((1, 1)), kappa=np.ones(1), c=c)
+        with pytest.raises(InvalidChainError, match="rate c must be finite"):
+            validate_chain(chain)
+        with pytest.raises(InvalidChainError):
+            simulate_ct_green(chain, n_paths=10, seed=0)
+
     def test_kappa_shape(self):
         chain = ChainSpec(T=np.zeros((2, 2)), kappa=np.ones(3))
         with pytest.raises(InvalidChainError, match="shape"):
