@@ -6,11 +6,11 @@ decomposition file), ``laplace`` (determinant formula vs Monte-Carlo),
 ``zoo`` (generate covariance families), ``sweep`` (verdict table over a
 family parameter grid).
 
-Exit codes: 0 definite verdict / success, 1 input error (parse failure,
-matrix not positive definite, invalid chain file), 2 indeterminate at the
-working tolerance, 3 decomposition requested for a non-ID covariance,
-4 internal numerical failure (a constructed decomposition violated one of
-its own identities).
+Exit codes: 0 definite verdict / success, 1 input error (usage error, parse
+failure, matrix not positive definite, invalid chain file, report file that
+cannot be written), 2 indeterminate at the working tolerance,
+3 decomposition requested for a non-ID covariance, 4 internal numerical
+failure (a constructed decomposition violated one of its own identities).
 
 All reports are JSON with sorted keys; identical configuration produces
 byte-identical output (timings never enter reports).  Indices in reports
@@ -33,8 +33,8 @@ from . import __version__
 from .criteria import (
     NoSignature,
     _classify_green,
-    _covariance_inverse,
     _is_id_square,
+    _validated,
     is_id_square,
 )
 from .decomposition import NumericalFailureError, SymmetryViolationError, _decompose
@@ -51,7 +51,6 @@ from .linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
-    as_covariance,
 )
 from .simulate import (
     ChainSpec,
@@ -67,7 +66,14 @@ INDETERMINATE_FACTOR = 10.0
 
 
 class ParseError(Exception):
-    """Input file could not be parsed into a square matrix."""
+    """Bad input or arguments, or an unwritable report: exit 1, one ``error:`` line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1 like every other input error."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
@@ -195,15 +201,17 @@ def write_report(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:
+        raise ParseError(f"cannot write {out}: {err.strerror or err}") from err
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _meta(schema: str, tol: Tolerances = DEFAULT_TOL) -> dict:
@@ -239,17 +247,11 @@ def _witness_dict(w) -> dict | None:
     }
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(eps_zero=args.eps)
-
-
 def cmd_check(args) -> int:
-    G = load_matrix(args.input, args.format)
-    tol = _tolerances(args)
-    G = as_covariance(G, tol)
+    tol = Tolerances(eps_zero=args.eps)
     # Both passes share eps_psd and sym_tol, hence the validated covariance,
     # the Cholesky factor and the inverse.
-    inverse = _covariance_inverse(G, tol)
+    G, inverse = _validated(load_matrix(args.input, args.format), tol)
     cls = _classify_green(G, inverse, tol)
     relaxed = _classify_green(G, inverse, tol.scaled(INDETERMINATE_FACTOR))
     verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"
@@ -280,10 +282,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    G = load_matrix(args.input, args.format)
-    tol = _tolerances(args)
-    G = as_covariance(G, tol)
-    verdict = _is_id_square(G, _covariance_inverse(G, tol), tol)
+    tol = Tolerances(eps_zero=args.eps)
+    G, inverse = _validated(load_matrix(args.input, args.format), tol)
+    verdict = _is_id_square(G, inverse, tol)
     doc = _meta("decomposition/2", tol)
     doc["command"] = "decompose"
     if not verdict.is_id:
@@ -432,7 +433,7 @@ def default_sweep_grids() -> list[list[float]]:
 def cmd_sweep(args) -> int:
     if args.family != "fbm":
         raise ParseError("sweep supports --family fbm only")
-    tol = _tolerances(args)
+    tol = Tolerances(eps_zero=args.eps)
     betas = [float(v) for v in args.betas.split(",")]
     if args.grids is not None:
         grids = [_parse_grid(g) for g in args.grids.split(";") if g.strip()]
@@ -472,7 +473,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaussgreen",
         description=(
             "Decide infinite divisibility of squared Gaussian vectors, "
@@ -541,19 +542,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # Looked up per call, so a rebound ``cmd_*`` name is the one that runs.
-    command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        args = _parser().parse_args(argv)
+        # Looked up per call, so a rebound ``cmd_*`` name is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except NotPositiveDefiniteError as err:
         print(f"error: input matrix is not positive definite ({err})",
               file=sys.stderr)
         return 1
-    except (SingularMatrixError, InvalidChainError, ValueError) as err:
+    except (ParseError, SingularMatrixError, InvalidChainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NumericalFailureError, SymmetryViolationError) as err:

@@ -232,18 +232,11 @@ def _is_m_matrix(A, inverse, tol: Tolerances):
     )
 
 
-def _covariance_inverse(G, tol: Tolerances) -> np.ndarray:
-    """``G⁻¹`` of a validated covariance, from the Cholesky factor that
-    certifies definiteness."""
-    return invert(G, tol, factor=_cholesky(G, tol))
-
-
-def _validated(G, tol: Tolerances, inverse):
-    """``G`` checked as a covariance, and ``inverse`` checked or computed."""
+def _validated(G, tol: Tolerances):
+    """``G`` checked as a covariance, and ``G⁻¹`` from the Cholesky factor
+    that certifies definiteness."""
     G = as_covariance(G, tol)
-    if inverse is None:
-        return G, _covariance_inverse(G, tol)
-    return G, as_square_matrix(inverse)
+    return G, invert(G, tol, factor=_cholesky(G, tol))
 
 
 def _contradiction_cycle(parents, i, j):
@@ -260,7 +253,7 @@ def _contradiction_cycle(parents, i, j):
     return tuple(path_i[: lca_i + 1] + path_j[:lca_j][::-1])
 
 
-def find_signature(G, tol: Tolerances = DEFAULT_TOL, inverse=None):
+def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     """Search for a sign vector making ``S G⁻¹ S`` off-diagonally nonpositive
     and ``S G S`` entrywise nonnegative.
 
@@ -273,19 +266,15 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL, inverse=None):
     Parameters
     ----------
     G : array_like
-        Symmetric positive definite covariance; without ``inverse``,
-        definiteness is certified by Cholesky and failures propagate as
+        Symmetric positive definite covariance; definiteness is certified by
+        Cholesky and failures propagate as
         :class:`~gaussgreen.linalg.NotPositiveDefiniteError`.
-    inverse : array_like, optional
-        Precomputed ``G⁻¹`` to reuse; the caller vouches for definiteness,
-        e.g. by inverting through the factor of
-        :func:`~gaussgreen.linalg.cholesky`.
 
     Returns
     -------
     Signature or NoSignature
     """
-    return _find_signature(*_validated(G, tol, inverse), tol)
+    return _find_signature(*_validated(G, tol), tol)
 
 
 def _find_signature(G, A, tol: Tolerances):
@@ -354,7 +343,7 @@ def _worst_positive_edge(A, cycle):
     return best
 
 
-def is_id_square(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> IdVerdict:
+def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     """Decide whether the squared Gaussian vector with covariance ``G`` is
     infinitely divisible.
 
@@ -362,10 +351,9 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> IdVerdict:
     conjugated inverse, whose own inverse is the conjugated covariance
     ``S G S``; the verdict carries the winning signature plus certificate,
     or the witness that defeated every signature, along with the numerical
-    margins the decision rested on.  ``inverse`` is a precomputed ``G⁻¹``
-    as in :func:`find_signature`.
+    margins the decision rested on.
     """
-    return _is_id_square(*_validated(G, tol, inverse), tol)
+    return _is_id_square(*_validated(G, tol), tol)
 
 
 def _is_id_square(G, inverse, tol: Tolerances) -> IdVerdict:
@@ -430,17 +418,16 @@ def triple_sufficient(G, tol: Tolerances = DEFAULT_TOL) -> bool:
     )
 
 
-def classify_green(G, tol: Tolerances = DEFAULT_TOL, inverse=None) -> GreenClassification:
+def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     """Sort a covariance into green / id_not_green / not_id.
 
     ``green`` demands that ``G⁻¹`` is an M-matrix with the trivial
     signature *and* has nonnegative row sums; then ``G`` itself is the
     visit-count matrix of a killed Markov chain.  Covariances with an
     infinitely divisible square that miss either extra condition are
-    ``id_not_green``.  ``inverse`` is a precomputed ``G⁻¹`` as in
-    :func:`find_signature`.
+    ``id_not_green``.
     """
-    return _classify_green(*_validated(G, tol, inverse), tol)
+    return _classify_green(*_validated(G, tol), tol)
 
 
 def _classify_green(G, inverse, tol: Tolerances) -> GreenClassification:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import IdVerdict, Signature, _covariance_inverse, _is_id_square
-from .linalg import DEFAULT_TOL, Tolerances, as_covariance, transience_bound
+from .criteria import IdVerdict, Signature, _is_id_square, _validated
+from .linalg import DEFAULT_TOL, Tolerances, transience_bound
 
 __all__ = [
     "GreenDecomposition",
@@ -99,7 +99,6 @@ def decompose(
     tol: Tolerances = DEFAULT_TOL,
     unit_scaling: bool = False,
     c_margin: float = 0.0,
-    verdict: IdVerdict | None = None,
 ) -> GreenDecomposition:
     """Build the killed-chain decomposition of an ID covariance.
 
@@ -113,8 +112,6 @@ def decompose(
         row sums of ``T`` may touch 1 while the chain stays transient).
     c_margin : float
         Optional additive slack on the rate ``c`` beyond ``max_i A_ii``.
-    verdict : IdVerdict, optional
-        Reuse a previously computed verdict instead of re-deciding.
 
     Raises
     ------
@@ -127,10 +124,8 @@ def decompose(
         When the visit kernel ``g`` fails detailed balance with respect to
         ``u²`` (see :func:`symmetric_green`).
     """
-    G = as_covariance(G, tol)
-    if verdict is None:
-        verdict = _is_id_square(G, _covariance_inverse(G, tol), tol)
-    return _decompose(G, tol, verdict, unit_scaling, c_margin)
+    G, inverse = _validated(G, tol)
+    return _decompose(G, tol, _is_id_square(G, inverse, tol), unit_scaling, c_margin)
 
 
 def _decompose(

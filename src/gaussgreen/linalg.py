@@ -9,10 +9,10 @@ like ``1e-10 * max(1, |A|_max)``.
 
 Positive definiteness is certified by numpy's LAPACK Cholesky
 factorization with a pivot floor, and the inverse of a covariance comes
-from that same factor through a blocked triangular inverse; general
-inversion goes through Gauss–Jordan elimination with partial pivoting so
-that ill-signed inverses of conjugated matrices do not sneak through a
-symmetric-only path.  numpy is the only dependency.
+from that same factor through a blocked triangular inverse; a general
+matrix gets LAPACK's inverse with the same floor on the pivots of LU with
+partial pivoting, so that ill-signed inverses of conjugated matrices do not
+sneak through a symmetric-only path.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class Tolerances:
         Relative zero band; an entry of a matrix ``M`` counts as zero when
         its magnitude is at most ``eps_zero * max(1, |M|_max)``.
     eps_psd : float
-        Pivot floor for Cholesky and Gauss–Jordan elimination.
+        Pivot floor for Cholesky and for LU with partial pivoting, the
+        latter applied to the LAPACK inverse of a general matrix.
     sym_tol : float
         Slack allowed between ``M[i, j]`` and ``M[j, i]`` for matrices
         declared symmetric.
@@ -188,9 +189,16 @@ def invert(
 ) -> np.ndarray:
     """Inverse with a residual guarantee.
 
-    Without ``factor`` the inverse goes through Gauss–Jordan elimination
-    with partial pivoting; with the Cholesky factor of a covariance it comes
-    from that factor and is exactly symmetric.
+    Without ``factor`` the inverse is LAPACK's, with the ``eps_psd`` floor
+    on the pivots of LU with partial pivoting; with the Cholesky factor of a
+    covariance it comes from that factor and is exactly symmetric.
+
+    ``PA = LU`` with multipliers ``|l_ij| <= 1`` gives ``U⁻¹ = A⁻¹ Pᵀ L``,
+    so every pivot satisfies ``|u_kk| >= 1 / (n max|A⁻¹|)``.  The pivots
+    are therefore computed, one column at a time, only when that bound
+    (with a factor 10 for roundoff in the computed inverse) does not clear
+    the floor, when LAPACK finds the matrix singular, or when the residual
+    check fails.
 
     Parameters
     ----------
@@ -206,8 +214,9 @@ def invert(
     Raises
     ------
     SingularMatrixError
-        When a Gauss–Jordan pivot is at most ``eps_psd``, ``factor`` has a
-        zero diagonal entry, or the residual bound fails.
+        When an LU pivot is at most ``eps_psd``, ``factor`` has a zero
+        diagonal entry, or the residual bound fails; ``index`` names the
+        failing pivot, or else the smallest one.
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -223,13 +232,21 @@ def invert(
         lower = np.tril(Linv.T @ Linv)
         M = lower + np.tril(lower, -1).T
     else:
-        M, pivots = _gauss_jordan(A, tol)
-        k = int(np.argmin(np.abs(pivots)))
+        try:
+            M = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            M = np.full_like(A, np.nan)
     residual = float(np.abs(A @ M - np.eye(n)).max())
     if inv_tol is None:
         cond = np.linalg.norm(A, 1) * np.linalg.norm(M, 1)
         inv_tol = 1e-10 * max(1.0, cond)
-    if residual > inv_tol:
+    # A NaN in M fails both tests. Where both pass, no pivot can be at the
+    # floor; elsewhere the pivot loop raises at it or names the smallest.
+    if factor is None and not (
+        residual <= inv_tol and 10.0 * n * float(np.abs(M).max()) * tol.eps_psd < 1.0
+    ):
+        k = int(np.argmin(np.abs(_lu_pivots(A, tol))))
+    if not residual <= inv_tol:
         raise SingularMatrixError(
             k, f"inverse residual {residual:.3e} exceeds {inv_tol:.3e}"
         )
@@ -262,57 +279,23 @@ def _tril_inverse(L) -> np.ndarray:
     return out
 
 
-# Columns per Gauss–Jordan panel: the rank-1 loop runs on n x _GJ_PANEL
-# blocks and the rest of the work goes to matrix products.
-_GJ_PANEL = 32
-
-
-def _gauss_jordan(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """``(A⁻¹, pivots)`` by Gauss–Jordan elimination with partial pivoting.
-
-    ``pivots`` holds the elimination pivots, which are the diagonal of U in
-    the LU factorization with the same row exchanges.
-
-    Works on ``W = [A | I]`` one panel of columns at a time.  Eliminating a
-    copy of the panel column by column chooses the pivots and swaps whole
-    rows of ``W``.  The remaining row operations only add multiples of the
-    panel's pivot rows ``R``, so together they map ``W`` to
-    ``W + Z @ W[R]``; as they turn the panel ``Y`` into unit columns ``E``,
-    ``Z = (E - Y) @ inv(Y[R])``, and one matrix product applies them to the
-    columns right of the panel.
+def _lu_pivots(A, tol: Tolerances) -> np.ndarray:
+    """diag(U) of the LU factorization with partial pivoting, column by column.
 
     Raises
     ------
     SingularMatrixError
         At the first pivot whose magnitude is at most ``eps_psd``.
     """
-    n = A.shape[0]
-    W = np.hstack([A, np.eye(n)])
-    pivots = np.empty(n)
-    for k0 in range(0, n, _GJ_PANEL):
-        k1 = min(k0 + _GJ_PANEL, n)
-        panel = W[:, k0:k1].copy()
-        for k in range(k0, k1):
-            j = k - k0
-            p = k + int(np.argmax(np.abs(panel[k:, j])))
-            if p != k:
-                panel[[k, p]] = panel[[p, k]]
-                W[[k, p]] = W[[p, k]]
-            pivots[k] = panel[k, j]
-            if abs(pivots[k]) <= tol.eps_psd:
-                raise SingularMatrixError(k)
-            panel[k, j:] /= pivots[k]
-            col = panel[:, j].copy()
-            col[k] = 0.0
-            panel[:, j:] -= np.outer(col, panel[k, j:])
-        # Columns left of k0 are unit vectors that vanish on the panel rows,
-        # so only the panel and the columns right of it change.
-        unit = np.zeros((n, k1 - k0))
-        unit[k0:k1] = np.eye(k1 - k0)
-        Z = (unit - W[:, k0:k1]) @ np.linalg.inv(W[k0:k1, k0:k1])
-        W[:, k1:] += Z @ W[k0:k1, k1:]
-        W[:, k0:k1] = unit
-    return W[:, n:], pivots
+    U = A.copy()
+    n = U.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        if abs(U[k, k]) <= tol.eps_psd:
+            raise SingularMatrixError(k)
+        U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
+    return np.diag(U).copy()
 
 
 def transience_bound(T) -> float:

@@ -302,26 +302,68 @@ class TestExitCodes:
         assert main(["laplace", "--input", str(path), "--t", "1,1"]) == 1
         assert "det(I + G diag(t)) = -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--input", "c.json", "--eps", "0.3"],
+         "gaussgreen: unrecognized arguments: --eps 0.3"),
+        (["check"], "gaussgreen check: the following arguments are required: --input"),
+        (["laplace", "--input", "g.csv", "--t", "1", "--samples", "x"],
+         "gaussgreen laplace: argument --samples: invalid int value: 'x'"),
+        ([], "gaussgreen: the following arguments are required: command"),
+    ])
+    def test_usage_error_is_input_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--help"])
+        assert exit_.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_unwritable_out_is_input_error_without_traceback(self, command, tmp_path,
+                                                              min_kernel_csv):
+        src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        (tmp_path / "taken").mkdir()
+        for out, reason in ((tmp_path / "missing" / "r.json", "No such file or directory"),
+                            (tmp_path / "taken", "Is a directory")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaussgreen.cli", command, "--input",
+                 str(min_kernel_csv), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["min_kernel.csv", "taken"]
+
 
 def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
-    targets = {"cholesky": (np.linalg, "cholesky"),
-               "gauss_jordan": (linalg, "_gauss_jordan")}
-    calls = dict.fromkeys(targets, 0)
-    for name, (owner, attr) in targets.items():
-        def counted(*args, _orig=getattr(owner, attr), _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
+    calls = {"cholesky": 0, "general_inverse": 0}
+    cholesky = np.linalg.cholesky
 
-        monkeypatch.setattr(owner, attr, counted)
+    def counted_cholesky(*args, **kwargs):
+        calls["cholesky"] += 1
+        return cholesky(*args, **kwargs)
+
+    def counted_invert(A, tol=linalg.DEFAULT_TOL, inv_tol=None, factor=None):
+        calls["general_inverse"] += factor is None
+        return invert(A, tol, inv_tol, factor)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    for owner in (linalg, cli, criteria, decomposition):
+        if hasattr(owner, "invert"):
+            monkeypatch.setattr(owner, "invert", counted_invert)
     inputs = {"id": fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5),
               "not_id": sheet_counterexample()[1]}
     for label, G in inputs.items():
         path = tmp_path / f"{label}.json"
         write_json_matrix(path, G)
         for command in ("check", "decompose"):
-            calls.update(cholesky=0, gauss_jordan=0)
+            calls.update(cholesky=0, general_inverse=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
-            assert calls == {"cholesky": 1, "gauss_jordan": 0}, (label, command)
+            assert calls == {"cholesky": 1, "general_inverse": 0}, (label, command)
 
 
 def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):

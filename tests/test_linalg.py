@@ -141,27 +141,65 @@ def _lu_pivots(A):
     return np.diag(U).copy()
 
 
+def _planted_lu(rng, n, k, pivot):
+    """``Lo @ U`` with ``|Lo_ij| < 1`` below a unit diagonal and ``U[k, k] =
+    pivot``: partial pivoting keeps the row order (and undoes any row
+    permutation), so the pivots are ``diag(U)`` up to roundoff."""
+    Lo = np.tril(rng.uniform(-0.5, 0.5, size=(n, n)), -1) + np.eye(n)
+    U = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
+    np.fill_diagonal(U, rng.uniform(1.0, 2.0, size=n))
+    U[k, k] = pivot
+    return Lo @ U
+
+
 class TestGaussJordan:
+    """``invert`` without a factor: its elimination pivots, which are the
+    diagonal of U in LU with partial pivoting, and the floor on them."""
+
     @pytest.mark.parametrize("n", [31, 32, 33, 70])
     def test_pivots_are_lu_diagonal(self, n):
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, n))
-        M, pivots = linalg._gauss_jordan(A, DEFAULT_TOL)
+        pivots = linalg._lu_pivots(A, DEFAULT_TOL)
         np.testing.assert_allclose(pivots, _lu_pivots(A), rtol=1e-9)
-        np.testing.assert_allclose(A @ M, np.eye(n), atol=1e-10)
+        np.testing.assert_allclose(A @ invert(A), np.eye(n), atol=1e-10)
 
     @pytest.mark.parametrize("n, k", [(2, 1), (70, 40)])
     def test_tiny_pivot_raises(self, n, k):
-        # A = L U with |L_ij| < 1 below a unit diagonal: partial pivoting
-        # keeps the row order, so the pivots are diag(U), one of them 1e-13.
-        rng = np.random.default_rng(n)
-        Lo = np.tril(rng.uniform(-0.5, 0.5, size=(n, n)), -1) + np.eye(n)
-        U = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
-        np.fill_diagonal(U, rng.uniform(1.0, 2.0, size=n))
-        U[k, k] = 1e-13
         with pytest.raises(SingularMatrixError) as err:
-            invert(Lo @ U)
+            invert(_planted_lu(np.random.default_rng(n), n, k, 1e-13))
         assert err.value.index == k
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), e=st.integers(0, 15),
+           seed=st.integers(0, 2**32 - 1))
+    def test_floor_matches_reference_pivots(self, data, n, e, seed):
+        k = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        A = _planted_lu(rng, n, k, 10.0**-e)[rng.permutation(n)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_floor = np.flatnonzero(np.abs(_lu_pivots(A)) <= DEFAULT_TOL.eps_psd)
+        if at_floor.size:
+            with pytest.raises(SingularMatrixError, match="singular at pivot") as err:
+                invert(A)
+            assert err.value.index == at_floor[0]
+        else:
+            invert(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), e=st.integers(0, 15),
+           seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+    def test_pivots_bounded_by_inverse(self, data, n, e, seed, planted):
+        # PA = LU with |L| <= 1 gives U⁻¹ = A⁻¹ Pᵀ L, so no pivot is below
+        # 1 / (n max|A⁻¹|): the bound behind invert's gate on the pivot loop.
+        rng = np.random.default_rng(seed)
+        if planted:
+            k = data.draw(st.integers(0, n - 1))
+            A = _planted_lu(rng, n, k, 10.0**-e)[rng.permutation(n)]
+        else:
+            A = rng.normal(size=(n, n))
+        bound = np.abs(_lu_pivots(A)).min() * n * np.abs(np.linalg.inv(A)).max()
+        assert bound >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("n", [31, 33, 65, 200])
     def test_agrees_with_factor_path(self, n):

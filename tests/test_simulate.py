@@ -257,6 +257,51 @@ class TestLaplaceMc:
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
+def _visit_moments(g, c, ct):
+    """Exact raw moments 1-4 of the visits ``N_ij`` to j from a start at i
+    or, when ``ct``, of the occupation time: ``N_ij`` exponential(c) sojourns.
+
+    Kac: j is hit with probability ``h = g_ij / g_jj`` and then revisited
+    a geometric number of times, ``P(N = m) = h p (1 - p)^(m - 1)`` with
+    ``p = 1 / g_jj``; given ``N = m`` the occupation time is Gamma(m, c),
+    whose r-th moment is ``m (m + 1) ... (m + r - 1) / c^r``.
+    """
+    m = np.arange(1.0, 4001.0)
+    p = 1.0 / np.diag(g)[None, :, None]
+    weights = (g[:, :, None] * p) * p * (1.0 - p) ** (m - 1.0)
+    moments = []
+    for r in range(1, 5):
+        values = np.prod([m + q for q in range(r)], axis=0) / c**r if ct else m**r
+        moments.append((weights * values).sum(axis=2))
+    return moments
+
+
+@pytest.mark.parametrize("ct", [False, True])
+def test_stderr_matches_exact_second_moments(ct):
+    from gaussgreen.decomposition import decompose
+
+    dec = decompose(MIN_KERNEL)
+    chain = ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c)
+    n_paths = 100_000
+    report = (simulate_ct_green if ct else simulate_green)(chain, n_paths=n_paths, seed=8)
+    assert report.overflow == 0
+    m1, m2, m3, m4 = _visit_moments(dec.g, dec.c, ct)
+    var = m2 - m1**2
+    g_jj = np.diag(dec.g)[None, :]
+    if ct:
+        np.testing.assert_allclose(m1, dec.g / dec.c, rtol=1e-12)
+        np.testing.assert_allclose(var, (2.0 * dec.g * g_jj - dec.g**2) / dec.c**2, rtol=1e-12)
+    else:
+        np.testing.assert_allclose(m1, dec.g, rtol=1e-12)
+        np.testing.assert_allclose(var, dec.g * (2.0 * g_jj - 1.0) - dec.g**2, rtol=1e-12)
+    # Standard deviation of the sample variance at n_paths draws, from the
+    # exact central fourth moment; five of them bound each of the 9 entries.
+    mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
+    sd = np.sqrt(mu4 / n_paths - var**2 * (n_paths - 3) / (n_paths * (n_paths - 1)))
+    sample_var = report.stderr**2 * n_paths
+    assert np.all(np.abs(sample_var - var) <= 5.0 * sd), (sample_var / var, sd / var)
+
+
 def test_report_to_dict_excludes_timing_by_default():
     report = laplace_mc(np.eye(2), [1.0, 1.0], n_samples=100, seed=0)
     doc = report.to_dict()
