@@ -30,14 +30,13 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    NoSignature,
-    _classify_green,
-    _is_id_square,
-    _validated,
-    is_id_square,
+from .criteria import NoSignature, classify_green, is_id_square
+from .decomposition import (
+    NotInfinitelyDivisibleError,
+    NumericalFailureError,
+    SymmetryViolationError,
+    decompose,
 )
-from .decomposition import NumericalFailureError, SymmetryViolationError, _decompose
 from .kernels import (
     brownian_cov,
     fbm_cov,
@@ -51,6 +50,7 @@ from .linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
+    covariance,
 )
 from .simulate import (
     ChainSpec,
@@ -251,9 +251,9 @@ def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
     # Both passes share eps_psd and sym_tol, hence the validated covariance,
     # the Cholesky factor and the inverse.
-    G, inverse = _validated(load_matrix(args.input, args.format), tol)
-    cls = _classify_green(G, inverse, tol)
-    relaxed = _classify_green(G, inverse, tol.scaled(INDETERMINATE_FACTOR))
+    cov = covariance(load_matrix(args.input, args.format), tol)
+    cls = classify_green(cov, tol)
+    relaxed = classify_green(cov, tol.scaled(INDETERMINATE_FACTOR))
     verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"
 
     margins = dict(cls.verdict.margins)
@@ -264,7 +264,7 @@ def cmd_check(args) -> int:
         {
             "command": "check",
             "input": os.path.basename(args.input),
-            "n": G.shape[0],
+            "n": cov.G.shape[0],
             "verdict": verdict,
             "verdict_at_relaxed_tolerance": relaxed.kind,
             "signature": (
@@ -277,23 +277,22 @@ def cmd_check(args) -> int:
         }
     )
     write_report(doc, args.out)
-    print(f"check: verdict={verdict} (n={G.shape[0]})", file=sys.stderr)
+    print(f"check: verdict={verdict} (n={cov.G.shape[0]})", file=sys.stderr)
     return 0 if verdict != "indeterminate" else 2
 
 
 def cmd_decompose(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
-    G, inverse = _validated(load_matrix(args.input, args.format), tol)
-    verdict = _is_id_square(G, inverse, tol)
     doc = _meta("decomposition/2", tol)
     doc["command"] = "decompose"
-    if not verdict.is_id:
-        doc.update({"verdict": "not_id", "witness": _witness_dict(verdict.witness)})
+    try:
+        dec = decompose(load_matrix(args.input, args.format), tol)
+    except NotInfinitelyDivisibleError as err:
+        witness = _witness_dict(err.witness)
+        doc.update({"verdict": "not_id", "witness": witness})
         write_report(doc, args.out)
-        print(f"decompose: not infinitely divisible: "
-              f"{_witness_dict(verdict.witness)}", file=sys.stderr)
+        print(f"decompose: not infinitely divisible: {witness}", file=sys.stderr)
         return 3
-    dec = _decompose(G, tol, verdict)
     doc.update(
         {
             "verdict": "id",

@@ -35,9 +35,9 @@ from .linalg import (
     DEFAULT_TOL,
     SingularMatrixError,
     Tolerances,
-    _cholesky,
     as_covariance,
     as_square_matrix,
+    covariance,
     invert,
     is_nonneg,
 )
@@ -85,9 +85,8 @@ class MMatrixCert:
     """Certificate that ``A`` is a nonsingular M-matrix.
 
     ``A = c I - B`` with ``B >= 0`` (within the zero band), the positive
-    vector ``u = A⁻¹ 𝟙`` with ``A u = 𝟙``, the bracket
-    ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies, and the
-    minimum entry of ``A⁻¹`` recorded as nonnegativity evidence.
+    vector ``u = A⁻¹ 𝟙`` with ``A u = 𝟙``, and the bracket
+    ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
     """
 
     c: float
@@ -95,8 +94,6 @@ class MMatrixCert:
     u: np.ndarray
     rho_lower: float
     rho_upper: float
-    inv_min_entry: float
-    inv_min_index: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -144,10 +141,6 @@ class IdVerdict:
     witness: NoSignature | MMatrixFailure | None = None
     margins: dict = field(default_factory=dict)
 
-    @property
-    def status(self) -> str:
-        return "ID" if self.is_id else "NotID"
-
 
 @dataclass(frozen=True)
 class GreenClassification:
@@ -155,16 +148,16 @@ class GreenClassification:
 
     ``kind`` is ``"green"`` (the inverse is a row-sum dominant M-matrix as
     is), ``"id_not_green"`` (infinitely divisible square, but only after a
-    sign flip or with dominance broken by scaling), or ``"not_id"``.
+    sign flip or with dominance broken by scaling), or ``"not_id"``.  A
+    ``"green"`` verdict's ``cert`` certifies ``G⁻¹`` itself.
     """
 
     kind: str
     verdict: IdVerdict
-    cert: MMatrixCert | None = None
     row_sums: np.ndarray | None = None
 
 
-def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
+def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
     """Certify ``A`` as a nonsingular M-matrix or explain the failure.
 
     Checks, in order: off-diagonals nonpositive within the zero band;
@@ -172,44 +165,36 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL, inverse=None):
     splitting ``A = c I - B`` with ``c = max_i A_ii`` and ``rho(B) < c``,
     certified by the Collatz–Wielandt ratios of ``u = A⁻¹ 𝟙``.  Returns
     :class:`MMatrixCert` or :class:`MMatrixFailure`.
-
-    Parameters
-    ----------
-    inverse : array_like, optional
-        Precomputed ``A⁻¹`` to reuse instead of inverting ``A``.
     """
     A = as_square_matrix(A)
-    return _is_m_matrix(A, None if inverse is None else as_square_matrix(inverse), tol)
-
-
-def _is_m_matrix(A, inverse, tol: Tolerances):
-    """:func:`is_m_matrix` of validated arrays (``inverse`` may be None)."""
-    n = A.shape[0]
     thr = tol.zero_threshold(A)
 
     off = A.copy()
     np.fill_diagonal(off, -np.inf)
-    if n > 1:
+    if A.shape[0] > 1:
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         if off[i, j] > thr:
             return MMatrixFailure(
                 "offdiag_positive", (int(i), int(j)), float(A[i, j])
             )
 
-    if inverse is None:
-        try:
-            Ainv = invert(A, tol)
-        except SingularMatrixError:
-            return MMatrixFailure("singular")
-    else:
-        Ainv = inverse
+    try:
+        Ainv = invert(A, tol)
+    except SingularMatrixError:
+        return MMatrixFailure("singular")
     check = is_nonneg(Ainv, tol.zero_threshold(Ainv))
     if not check.ok:
         return MMatrixFailure("inverse_negative", check.index, check.min_value)
+    return _bracket(A, Ainv.sum(axis=1), thr)
 
+
+def _bracket(A, u, thr: float):
+    """Certificate of a Z-matrix ``A`` from ``u = A⁻¹ 𝟙``, or the
+    ``"spectral_gap"`` failure: a positive ``u`` with ``A u > 0`` makes ``A``
+    a nonsingular M-matrix, and with ``A = c I - B`` the ratios
+    ``(B u)_i / u_i`` bracket ``rho(B)``."""
     c = float(A.diagonal().max())
-    B = c * np.eye(n) - A
-    u = Ainv.sum(axis=1)
+    B = c * np.eye(A.shape[0]) - A
     if u.min() <= 0.0:
         # No positive vector to bound rho(B) with; only zero-band noise in
         # the inverse can get here.
@@ -218,8 +203,8 @@ def _is_m_matrix(A, inverse, tol: Tolerances):
     rho_lower = max(0.0, float(ratios.min()))
     rho_upper = float(ratios.max())
     if rho_upper >= c + thr:
-        # Mathematically impossible once (i) and (ii) hold; reaching this
-        # point means the instance is undecidable at the current band.
+        # Mathematically impossible for an M-matrix; reaching this point
+        # means the instance is undecidable at the current band.
         return MMatrixFailure("spectral_gap", None, rho_upper - c)
     return MMatrixCert(
         c=c,
@@ -227,16 +212,7 @@ def _is_m_matrix(A, inverse, tol: Tolerances):
         u=u,
         rho_lower=rho_lower,
         rho_upper=rho_upper,
-        inv_min_entry=check.min_value,
-        inv_min_index=check.index,
     )
-
-
-def _validated(G, tol: Tolerances):
-    """``G`` checked as a covariance, and ``G⁻¹`` from the Cholesky factor
-    that certifies definiteness."""
-    G = as_covariance(G, tol)
-    return G, invert(G, tol, factor=_cholesky(G, tol))
 
 
 def _contradiction_cycle(parents, i, j):
@@ -265,7 +241,7 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
 
     Parameters
     ----------
-    G : array_like
+    G : array_like or Covariance
         Symmetric positive definite covariance; definiteness is certified by
         Cholesky and failures propagate as
         :class:`~gaussgreen.linalg.NotPositiveDefiniteError`.
@@ -274,12 +250,8 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     -------
     Signature or NoSignature
     """
-    return _find_signature(*_validated(G, tol), tol)
-
-
-def _find_signature(G, A, tol: Tolerances):
-    """:func:`find_signature` of a validated covariance and its inverse."""
-    A = 0.5 * (A + A.T)  # kill roundoff asymmetry so edges are symmetric
+    cov = covariance(G, tol)
+    G, A = cov.G, cov.inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
 
@@ -347,33 +319,33 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     """Decide whether the squared Gaussian vector with covariance ``G`` is
     infinitely divisible.
 
-    Composes :func:`find_signature` with :func:`is_m_matrix` on the
+    Composes :func:`find_signature` with the M-matrix certificate of the
     conjugated inverse, whose own inverse is the conjugated covariance
     ``S G S``; the verdict carries the winning signature plus certificate,
     or the witness that defeated every signature, along with the numerical
-    margins the decision rested on.
+    margins the decision rested on.  A signature already makes the
+    off-diagonals of ``S G⁻¹ S`` nonpositive and ``S G S`` nonnegative at
+    the zero bands :func:`is_m_matrix` uses, so only the Collatz–Wielandt
+    bracket of ``u = S G S 𝟙`` is left to check.
     """
-    return _is_id_square(*_validated(G, tol), tol)
-
-
-def _is_id_square(G, inverse, tol: Tolerances) -> IdVerdict:
-    """:func:`is_id_square` of a validated covariance and its inverse."""
-    sig = _find_signature(G, inverse, tol)
+    cov = covariance(G, tol)
+    sig = find_signature(cov, tol)
+    thr = tol.zero_threshold(cov.inverse)
     if isinstance(sig, NoSignature):
         margins = {
-            "zero_threshold": tol.zero_threshold(inverse),
+            "zero_threshold": thr,
             "witness_value": sig.value,
         }
         return IdVerdict(False, witness=sig, margins=margins)
 
-    conj_inv = sig.conjugate(inverse)
-    conj_cov = sig.conjugate(G)
-    result = _is_m_matrix(conj_inv, conj_cov, tol)
+    conj_inv = sig.conjugate(cov.inverse)
+    conj_cov = sig.conjugate(cov.G)
+    result = _bracket(conj_inv, conj_cov.sum(axis=1), thr)
     off = conj_inv.copy()
     np.fill_diagonal(off, -np.inf)
     margins = {
-        "zero_threshold": tol.zero_threshold(conj_inv),
-        "max_offdiagonal": float(off.max()) if G.shape[0] > 1 else 0.0,
+        "zero_threshold": thr,
+        "max_offdiagonal": float(off.max()) if off.shape[0] > 1 else 0.0,
         "min_conjugated_covariance": float(conj_cov.min()),
     }
     if isinstance(result, MMatrixFailure):
@@ -427,21 +399,17 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     infinitely divisible square that miss either extra condition are
     ``id_not_green``.
     """
-    return _classify_green(*_validated(G, tol), tol)
-
-
-def _classify_green(G, inverse, tol: Tolerances) -> GreenClassification:
-    """:func:`classify_green` of a validated covariance and its inverse."""
-    verdict = _is_id_square(G, inverse, tol)
+    cov = covariance(G, tol)
+    verdict = is_id_square(cov, tol)
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)
 
-    row_sums = inverse.sum(axis=1)
+    row_sums = cov.inverse.sum(axis=1)
     # A nontrivial signature can only arise from a positive off-diagonal of
-    # G^-1, which the direct M-matrix test would reject; so the verdict's
-    # certificate doubles as the trivial-signature certificate.
+    # G^-1, which the direct M-matrix test would reject; with the trivial
+    # one the verdict's certificate is that of G^-1 itself.
     if not verdict.signature.is_trivial:
-        return GreenClassification("id_not_green", verdict, None, row_sums)
-    dominant = row_sums.min() >= -tol.zero_threshold(inverse)
+        return GreenClassification("id_not_green", verdict, row_sums)
+    dominant = row_sums.min() >= -tol.zero_threshold(cov.inverse)
     kind = "green" if dominant else "id_not_green"
-    return GreenClassification(kind, verdict, verdict.cert, row_sums)
+    return GreenClassification(kind, verdict, row_sums)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import IdVerdict, Signature, _is_id_square, _validated
-from .linalg import DEFAULT_TOL, Tolerances, transience_bound
+from .criteria import Signature, is_id_square
+from .linalg import DEFAULT_TOL, Tolerances, covariance, transience_bound
 
 __all__ = [
     "GreenDecomposition",
@@ -104,7 +104,7 @@ def decompose(
 
     Parameters
     ----------
-    G : array_like
+    G : array_like or Covariance
         Symmetric positive definite covariance with infinitely divisible
         square.
     unit_scaling : bool
@@ -124,22 +124,16 @@ def decompose(
         When the visit kernel ``g`` fails detailed balance with respect to
         ``u²`` (see :func:`symmetric_green`).
     """
-    G, inverse = _validated(G, tol)
-    return _decompose(G, tol, _is_id_square(G, inverse, tol), unit_scaling, c_margin)
-
-
-def _decompose(
-    G, tol: Tolerances, verdict: IdVerdict, unit_scaling=False, c_margin=0.0
-) -> GreenDecomposition:
-    """:func:`decompose` of a validated covariance with its verdict."""
+    cov = covariance(G, tol)
+    verdict = is_id_square(cov, tol)
     if not verdict.is_id:
         raise NotInfinitelyDivisibleError(verdict.witness)
     if c_margin < 0.0:
         raise ValueError("c_margin must be nonnegative")
 
     sig = verdict.signature
-    n = G.shape[0]
-    Gp = sig.conjugate(G)
+    n = cov.G.shape[0]
+    Gp = sig.conjugate(cov.G)
     _check_flip_invariance(Gp, sig, tol)
 
     # The certificate splits Gp⁻¹ = c I - B with Gp⁻¹ u = 𝟙; a larger rate
@@ -166,7 +160,7 @@ def _decompose(
         g=g,
         reconstruction_error=np.nan,
     )
-    return replace(dec, reconstruction_error=_validate(dec, G, tol, unit_scaling))
+    return replace(dec, reconstruction_error=_validate(dec, cov.G, tol))
 
 
 def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
@@ -188,26 +182,21 @@ def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
             )
 
 
-def _validate(dec: GreenDecomposition, G, tol: Tolerances, unit_scaling: bool) -> float:
+def _validate(dec: GreenDecomposition, G, tol: Tolerances) -> float:
     """Check every identity of ``dec``; return its reconstruction error."""
     thr = tol.zero_threshold(dec.T)
     resid_tol = 1e-10 * max(1.0, float(np.abs(dec.g).max()))
 
     if dec.T.size and dec.T.min() < -thr:
         raise NumericalFailureError(f"negative transition entry {dec.T.min():.3e}")
-    if unit_scaling:
-        if dec.kappa.min() < -thr:
-            raise NumericalFailureError("row sums of T exceed 1")
-        if dec.kappa.max() <= thr:
-            raise NumericalFailureError("no killing anywhere: chain not transient")
-        rho = transience_bound(dec.T)
-        if rho >= 1.0:
-            raise NumericalFailureError(
-                f"cannot certify transience: rho(T) bound {rho:.6f}"
-            )
-    else:
-        if dec.kappa.min() <= tol.eps_zero:
-            raise NumericalFailureError("killing vector not strictly positive")
+    # No floor on kappa: the bound on rho(T) certifies that some state kills.
+    if dec.kappa.min() < -thr:
+        raise NumericalFailureError("row sums of T exceed 1")
+    rho = transience_bound(dec.T)
+    if rho >= 1.0:
+        raise NumericalFailureError(
+            f"cannot certify transience: rho(T) bound {rho:.6f}"
+        )
     if dec.kappa.max() > 1.0 + thr:
         raise NumericalFailureError("killing probability exceeds 1")
 

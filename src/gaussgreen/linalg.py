@@ -12,7 +12,9 @@ factorization with a pivot floor, and the inverse of a covariance comes
 from that same factor through a blocked triangular inverse; a general
 matrix gets LAPACK's inverse with the same floor on the pivots of LU with
 partial pivoting, so that ill-signed inverses of conjugated matrices do not
-sneak through a symmetric-only path.  numpy is the only dependency.
+sneak through a symmetric-only path.  :func:`covariance` alone validates,
+factors and inverts a covariance, once for every later test.  numpy is the
+only dependency.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ __all__ = [
     "NotPositiveDefiniteError",
     "SingularMatrixError",
     "NonnegCheck",
+    "Covariance",
     "as_square_matrix",
     "as_covariance",
+    "covariance",
     "cholesky",
     "invert",
     "transience_bound",
@@ -133,6 +137,25 @@ def as_covariance(G, tol: Tolerances = DEFAULT_TOL, name="covariance") -> np.nda
                 f" = {gap[i, j]:.3e}"
             )
     return A
+
+
+@dataclass(frozen=True)
+class Covariance:
+    """A covariance checked by :func:`covariance` and its exactly symmetric inverse."""
+
+    G: np.ndarray
+    inverse: np.ndarray
+
+
+def covariance(G, tol: Tolerances = DEFAULT_TOL) -> Covariance:
+    """``G`` checked by :func:`as_covariance`, with ``G⁻¹`` from the Cholesky
+    factor that certifies it positive definite.  A :class:`Covariance` is
+    returned unchanged: only ``sym_tol`` and ``eps_psd`` enter here, so it
+    serves every zero band."""
+    if isinstance(G, Covariance):
+        return G
+    G = as_covariance(G, tol)
+    return Covariance(G, invert(G, tol, factor=_cholesky(G, tol)))
 
 
 def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import gaussgreen
 from gaussgreen import __version__, cli, criteria, decomposition, linalg
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
-from gaussgreen.kernels import fbm_cov, sheet_counterexample
+from gaussgreen.kernels import brownian_cov, fbm_cov, sheet_counterexample
 from gaussgreen.linalg import invert
 from helpers import MIN_KERNEL
 
@@ -140,6 +141,19 @@ class TestCmdDecompose:
         doc = json.loads(out.read_text())
         assert np.abs(np.asarray(doc["T"])).max() == 0.0
 
+    @pytest.mark.parametrize("G", [brownian_cov(np.arange(1.0, 13.0)),
+                                   fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5)],
+                             ids=["brownian12", "fbm_half"])
+    def test_wide_band_still_builds_the_chain(self, G, tmp_path):
+        # Killing probabilities below the band are valid, not a failure.
+        path, out = tmp_path / "g.json", tmp_path / "dec.json"
+        write_json_matrix(path, G)
+        assert main(["decompose", "--input", str(path), "--eps", "0.3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "id"
+        assert min(doc["kappa"]) > 0.0
+        assert doc["reconstruction_error"] < 1e-9
+
     def test_counterexample_exits_three(self, tmp_path):
         _, G = sheet_counterexample()
         path = tmp_path / "ce.json"
@@ -264,7 +278,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise NumericalFailureError("forced")
 
-        monkeypatch.setattr(cli, "_decompose", fail)
+        monkeypatch.setattr(cli, "decompose", fail)
         assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
         assert "internal numerical failure (forced)" in capsys.readouterr().err
 
@@ -364,6 +378,38 @@ def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
             calls.update(cholesky=0, general_inverse=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
             assert calls == {"cholesky": 1, "general_inverse": 0}, (label, command)
+
+
+def _same(a, b):
+    """Field-by-field equality of results, arrays compared entrywise."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def test_library_calls_on_one_covariance_factor_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted_cholesky(*args, **kwargs):
+        calls.append(1)
+        return cholesky(*args, **kwargs)
+
+    functions = (criteria.find_signature, criteria.is_id_square, criteria.classify_green,
+                 decomposition.decompose)
+    G = fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5)
+    from_array = [f(G) for f in functions]
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    cov = linalg.covariance(G)
+    assert linalg.covariance(cov) is cov
+    from_cov = [f(cov) for f in functions]
+    assert len(calls) == 1
+    for ours, ref in zip(from_cov, from_array):
+        assert _same(ours, ref), type(ref).__name__
 
 
 def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):
