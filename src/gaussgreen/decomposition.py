@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import Signature, is_id_square
-from .linalg import DEFAULT_TOL, Tolerances, covariance, transience_bound
+from .linalg import DEFAULT_TOL, Tolerances, covariance
+from .simulate import ChainSpec, InvalidChainError, validate_chain
 
 __all__ = [
     "GreenDecomposition",
@@ -183,25 +184,19 @@ def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
 
 
 def _validate(dec: GreenDecomposition, G, tol: Tolerances) -> float:
-    """Check every identity of ``dec``; return its reconstruction error."""
-    thr = tol.zero_threshold(dec.T)
+    """Check every identity of ``dec``; return its reconstruction error.
+
+    The chain must pass :func:`validate_chain` at the default zero band, the
+    one :func:`simulate` reads it with, so ``T`` and ``kappa`` are nonnegative
+    up to roundoff however wide the band of the verdict was.
+    """
+    try:
+        validate_chain(ChainSpec(dec.T, dec.kappa, dec.c))
+    except InvalidChainError as exc:
+        raise NumericalFailureError(str(exc)) from None
+
+    eye = np.eye(dec.n)
     resid_tol = 1e-10 * max(1.0, float(np.abs(dec.g).max()))
-
-    if dec.T.size and dec.T.min() < -thr:
-        raise NumericalFailureError(f"negative transition entry {dec.T.min():.3e}")
-    # No floor on kappa: the bound on rho(T) certifies that some state kills.
-    if dec.kappa.min() < -thr:
-        raise NumericalFailureError("row sums of T exceed 1")
-    rho = transience_bound(dec.T)
-    if rho >= 1.0:
-        raise NumericalFailureError(
-            f"cannot certify transience: rho(T) bound {rho:.6f}"
-        )
-    if dec.kappa.max() > 1.0 + thr:
-        raise NumericalFailureError("killing probability exceeds 1")
-
-    n = dec.n
-    eye = np.eye(n)
     if float(np.abs((eye - dec.T) @ dec.g - eye).max()) > resid_tol:
         raise NumericalFailureError("(I - T) g deviates from the identity")
 

@@ -141,21 +141,26 @@ def as_covariance(G, tol: Tolerances = DEFAULT_TOL, name="covariance") -> np.nda
 
 @dataclass(frozen=True)
 class Covariance:
-    """A covariance checked by :func:`covariance` and its exactly symmetric inverse."""
+    """A covariance checked by :func:`covariance`, which alone builds it, with
+    its exactly symmetric inverse and the tolerances it was checked at."""
 
     G: np.ndarray
     inverse: np.ndarray
+    tol: Tolerances
 
 
 def covariance(G, tol: Tolerances = DEFAULT_TOL) -> Covariance:
     """``G`` checked by :func:`as_covariance`, with ``G⁻¹`` from the Cholesky
-    factor that certifies it positive definite.  A :class:`Covariance` is
-    returned unchanged: only ``sym_tol`` and ``eps_psd`` enter here, so it
-    serves every zero band."""
+    factor that certifies it positive definite.  Only ``eps_psd`` and
+    ``sym_tol`` enter here, so a :class:`Covariance` checked at the same two
+    is returned unchanged, whatever its zero band; one checked at others is
+    checked again."""
     if isinstance(G, Covariance):
-        return G
+        if (G.tol.eps_psd, G.tol.sym_tol) == (tol.eps_psd, tol.sym_tol):
+            return G
+        G = G.G
     G = as_covariance(G, tol)
-    return Covariance(G, invert(G, tol, factor=_cholesky(G, tol)))
+    return Covariance(G, invert(G, tol, factor=_cholesky(G, tol)), tol)
 
 
 def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -14,6 +14,7 @@ from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import brownian_cov, fbm_cov, sheet_counterexample
 from gaussgreen.linalg import invert
+from gaussgreen.simulate import ChainSpec, validate_chain
 from helpers import MIN_KERNEL
 
 
@@ -141,16 +142,26 @@ class TestCmdDecompose:
         doc = json.loads(out.read_text())
         assert np.abs(np.asarray(doc["T"])).max() == 0.0
 
-    @pytest.mark.parametrize("G", [brownian_cov(np.arange(1.0, 13.0)),
-                                   fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5)],
-                             ids=["brownian12", "fbm_half"])
-    def test_wide_band_still_builds_the_chain(self, G, tmp_path):
-        # Killing probabilities below the band are valid, not a failure.
+    @pytest.mark.parametrize(
+        "G, code",
+        [(brownian_cov(np.arange(1.0, 13.0)), 0), (fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5), 0)]
+        + [(fbm_cov(np.arange(1.0, n + 1), 1.5), 4) for n in (4, 7, 15)]
+        + [(sheet_counterexample()[1], 4)],
+        ids=["brownian12", "fbm_half", "fbm_1.5_n4", "fbm_1.5_n7", "fbm_1.5_n15", "counterexample"],
+    )
+    def test_wide_band_writes_only_valid_chains(self, G, code, tmp_path):
+        # Killing probabilities below the band are valid, not a failure.  But
+        # the band also reads positive off-diagonals of the inverse as zeros,
+        # whose chain would hold negative T: decompose must not write it.
         path, out = tmp_path / "g.json", tmp_path / "dec.json"
         write_json_matrix(path, G)
-        assert main(["decompose", "--input", str(path), "--eps", "0.3", "--out", str(out)]) == 0
+        assert main(["decompose", "--input", str(path), "--eps", "0.3", "--out", str(out)]) == code
+        if code:
+            assert not out.exists()
+            return
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "id"
+        validate_chain(ChainSpec(np.asarray(doc["T"]), np.asarray(doc["kappa"]), doc["c"]))
         assert min(doc["kappa"]) > 0.0
         assert doc["reconstruction_error"] < 1e-9
 

@@ -120,6 +120,29 @@ class TestInvertFromCholesky:
         )
 
 
+
+class TestCovariance:
+    def test_reused_across_zero_bands(self):
+        cov = linalg.covariance(MIN_KERNEL)
+        np.testing.assert_allclose(cov.inverse, MIN_KERNEL_INV, atol=1e-12)
+        np.testing.assert_array_equal(cov.inverse, cov.inverse.T)
+        assert linalg.covariance(cov, Tolerances(eps_zero=0.3)) is cov
+
+    def test_checked_again_at_other_tolerances(self):
+        G = MIN_KERNEL.copy()
+        G[0, 1] += 1e-9
+        cov = linalg.covariance(G)
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.covariance(cov, Tolerances(sym_tol=1e-12))
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]])
+        cov = linalg.covariance(near)
+        with pytest.raises(NotPositiveDefiniteError):
+            linalg.covariance(cov, Tolerances(eps_psd=1e-10))
+        loose = Tolerances(sym_tol=1e-6)
+        again = linalg.covariance(cov, loose)
+        assert again is not cov and again.tol == loose
+        np.testing.assert_array_equal(again.inverse, cov.inverse)
+
 class TestTrilInverse:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
     def test_matches_dense_inverse(self, n):
