@@ -47,6 +47,8 @@ from .kernels import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    EPS_PSD,
+    SYM_TOL,
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
@@ -221,8 +223,8 @@ def _meta(schema: str, tol: Tolerances = DEFAULT_TOL) -> dict:
         "version": __version__,
         "tolerances": {
             "eps_zero": tol.eps_zero,
-            "eps_psd": tol.eps_psd,
-            "sym_tol": tol.sym_tol,
+            "eps_psd": EPS_PSD,
+            "sym_tol": SYM_TOL,
         },
     }
 
@@ -249,9 +251,7 @@ def _witness_dict(w) -> dict | None:
 
 def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
-    # Both passes share eps_psd and sym_tol, hence the validated covariance,
-    # the Cholesky factor and the inverse.
-    cov = covariance(load_matrix(args.input, args.format), tol)
+    cov = covariance(load_matrix(args.input, args.format))
     cls = classify_green(cov, tol)
     relaxed = classify_green(cov, tol.scaled(INDETERMINATE_FACTOR))
     verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"

@@ -179,7 +179,7 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
             )
 
     try:
-        Ainv = invert(A, tol)
+        Ainv = invert(A)
     except SingularMatrixError:
         return MMatrixFailure("singular")
     check = is_nonneg(Ainv, tol.zero_threshold(Ainv))
@@ -250,7 +250,7 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     -------
     Signature or NoSignature
     """
-    cov = covariance(G, tol)
+    cov = covariance(G)
     G, A = cov.G, cov.inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
@@ -328,7 +328,7 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     the zero bands :func:`is_m_matrix` uses, so only the Collatz–Wielandt
     bracket of ``u = S G S 𝟙`` is left to check.
     """
-    cov = covariance(G, tol)
+    cov = covariance(G)
     sig = find_signature(cov, tol)
     thr = tol.zero_threshold(cov.inverse)
     if isinstance(sig, NoSignature):
@@ -361,7 +361,7 @@ def triple_necessary(G, tol: Tolerances = DEFAULT_TOL) -> bool:
     A covariance with ``G12 * G23 * G31 < 0`` cannot have an infinitely
     divisible square, whatever the diagonal.
     """
-    G = as_covariance(G, tol)
+    G = as_covariance(G)
     if G.shape != (3, 3):
         raise ValueError("triple_necessary expects a 3x3 covariance")
     product = float(G[0, 1] * G[1, 2] * G[2, 0])
@@ -376,7 +376,7 @@ def triple_sufficient(G, tol: Tolerances = DEFAULT_TOL) -> bool:
     ``G⁻¹`` is nonpositive, so the square is infinitely divisible with the
     trivial signature.
     """
-    G = as_covariance(G, tol)
+    G = as_covariance(G)
     if G.shape != (3, 3):
         raise ValueError("triple_sufficient expects a 3x3 covariance")
     thr = tol.zero_threshold(G)
@@ -399,7 +399,7 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     infinitely divisible square that miss either extra condition are
     ``id_not_green``.
     """
-    cov = covariance(G, tol)
+    cov = covariance(G)
     verdict = is_id_square(cov, tol)
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import Signature, is_id_square
-from .linalg import DEFAULT_TOL, Tolerances, covariance
+from .linalg import DEFAULT_TOL, SYM_TOL, Tolerances, covariance
 from .simulate import ChainSpec, InvalidChainError, validate_chain
 
 __all__ = [
@@ -96,10 +96,7 @@ class GreenDecomposition:
 
 
 def decompose(
-    G,
-    tol: Tolerances = DEFAULT_TOL,
-    unit_scaling: bool = False,
-    c_margin: float = 0.0,
+    G, tol: Tolerances = DEFAULT_TOL, unit_scaling: bool = False
 ) -> GreenDecomposition:
     """Build the killed-chain decomposition of an ID covariance.
 
@@ -111,8 +108,6 @@ def decompose(
     unit_scaling : bool
         Force ``u = 𝟙`` (valid only when ``G⁻¹`` is row-sum dominant; then
         row sums of ``T`` may touch 1 while the chain stays transient).
-    c_margin : float
-        Optional additive slack on the rate ``c`` beyond ``max_i A_ii``.
 
     Raises
     ------
@@ -125,29 +120,21 @@ def decompose(
         When the visit kernel ``g`` fails detailed balance with respect to
         ``u²`` (see :func:`symmetric_green`).
     """
-    cov = covariance(G, tol)
+    cov = covariance(G)
     verdict = is_id_square(cov, tol)
     if not verdict.is_id:
         raise NotInfinitelyDivisibleError(verdict.witness)
-    if c_margin < 0.0:
-        raise ValueError("c_margin must be nonnegative")
 
     sig = verdict.signature
-    n = cov.G.shape[0]
     Gp = sig.conjugate(cov.G)
-    _check_flip_invariance(Gp, sig, tol)
-
-    # The certificate splits Gp⁻¹ = c I - B with Gp⁻¹ u = 𝟙; a larger rate
-    # only adds the margin to the diagonal of B.
-    cert = verdict.cert
-    c = cert.c + float(c_margin)
-    B = cert.B + float(c_margin) * np.eye(n)
+    # The certificate splits Gp⁻¹ = c I - B with Gp⁻¹ u = 𝟙.
+    c, B = verdict.cert.c, verdict.cert.B
 
     if unit_scaling:
-        u = np.ones(n)
+        u = np.ones(Gp.shape[0])
         T = B / c
     else:
-        u = cert.u
+        u = verdict.cert.u
         T = B * u[None, :] / (c * u[:, None])
     kappa = 1.0 - T.sum(axis=1)
     g = c * Gp * u[None, :] / u[:, None]
@@ -161,29 +148,10 @@ def decompose(
         g=g,
         reconstruction_error=np.nan,
     )
-    return replace(dec, reconstruction_error=_validate(dec, cov.G, tol))
+    return replace(dec, reconstruction_error=_validate(dec, cov.G))
 
 
-def _check_flip_invariance(Gp, sig: Signature, tol: Tolerances) -> None:
-    """Cross-component entries of ``Gp`` must vanish, so that the free
-    per-component sign flips cannot change ``Gp``."""
-    if len(sig.components) <= 1:
-        return
-    n = Gp.shape[0]
-    comp_id = np.empty(n, dtype=int)
-    for k, comp in enumerate(sig.components):
-        comp_id[list(comp)] = k
-    cross = comp_id[:, None] != comp_id[None, :]
-    if cross.any():
-        worst = float(np.abs(Gp[cross]).max())
-        if worst > n * tol.zero_threshold(Gp):
-            raise NumericalFailureError(
-                "cross-component covariance entries reach "
-                f"{worst:.3e}; per-component sign flips would matter"
-            )
-
-
-def _validate(dec: GreenDecomposition, G, tol: Tolerances) -> float:
+def _validate(dec: GreenDecomposition, G) -> float:
     """Check every identity of ``dec``; return its reconstruction error.
 
     The chain must pass :func:`validate_chain` at the default zero band, the
@@ -200,7 +168,7 @@ def _validate(dec: GreenDecomposition, G, tol: Tolerances) -> float:
     if float(np.abs((eye - dec.T) @ dec.g - eye).max()) > resid_tol:
         raise NumericalFailureError("(I - T) g deviates from the identity")
 
-    symmetric_green(dec, tol)
+    symmetric_green(dec)
 
     rel = float(np.abs(reconstruct(dec) - G).max()) / max(
         1.0, float(np.abs(G).max())
@@ -216,7 +184,7 @@ def reconstruct(dec: GreenDecomposition) -> np.ndarray:
     return dec.signature.conjugate(outer * dec.g) / dec.c
 
 
-def symmetric_green(dec: GreenDecomposition, tol: Tolerances = DEFAULT_TOL):
+def symmetric_green(dec: GreenDecomposition):
     """Symmetric density of the visit kernel and its reference weights.
 
     Returns ``(g_sym, mu)`` with ``mu = u²`` and ``g_sym_ij = g_ij / mu_j``,
@@ -234,7 +202,7 @@ def symmetric_green(dec: GreenDecomposition, tol: Tolerances = DEFAULT_TOL):
     g_sym = dec.g / mu[None, :]
     gap = np.abs(g_sym - g_sym.T)
     scale = max(1.0, float(np.abs(g_sym).max()))
-    if float(gap.max()) > tol.sym_tol * scale:
+    if float(gap.max()) > SYM_TOL * scale:
         index = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise SymmetryViolationError(tuple(int(v) for v in index), gap[index])
     return g_sym, mu

@@ -5,16 +5,18 @@ made downstream (nonnegativity, nonpositive off-diagonals, row-sum signs)
 is three-valued: entries inside the zero band of a :class:`Tolerances`
 instance count as zero, everything outside keeps its sign.  The band is
 scaled by the magnitude of the matrix under test, so the default behaves
-like ``1e-10 * max(1, |A|_max)``.
+like ``1e-10 * max(1, |A|_max)``.  The zero band is the only tolerance a
+caller sets; the pivot floor :data:`EPS_PSD` and the symmetry slack
+:data:`SYM_TOL` are fixed constants of this module.
 
 Positive definiteness is certified by numpy's LAPACK Cholesky
-factorization with a pivot floor, and the inverse of a covariance comes
+factorization with the pivot floor, and the inverse of a covariance comes
 from that same factor through a blocked triangular inverse; a general
 matrix gets LAPACK's inverse with the same floor on the pivots of LU with
 partial pivoting, so that ill-signed inverses of conjugated matrices do not
 sneak through a symmetric-only path.  :func:`covariance` alone validates,
-factors and inverts a covariance, once for every later test.  numpy is the
-only dependency.
+factors and inverts a covariance, once for every later test and every zero
+band.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "EPS_PSD",
+    "SYM_TOL",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
     "NonnegCheck",
@@ -61,32 +65,29 @@ class SingularMatrixError(Exception):
         super().__init__(message or f"matrix is singular at pivot {index}")
 
 
+# Pivot floor for Cholesky and for LU with partial pivoting, the latter
+# applied to the LAPACK inverse of a general matrix.
+EPS_PSD = 1e-12
+# Slack allowed between M[i, j] and M[j, i] for matrices declared symmetric.
+SYM_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by all sign and definiteness decisions.
+    """The zero band shared by all sign decisions.
 
     Attributes
     ----------
     eps_zero : float
         Relative zero band; an entry of a matrix ``M`` counts as zero when
         its magnitude is at most ``eps_zero * max(1, |M|_max)``.
-    eps_psd : float
-        Pivot floor for Cholesky and for LU with partial pivoting, the
-        latter applied to the LAPACK inverse of a general matrix.
-    sym_tol : float
-        Slack allowed between ``M[i, j]`` and ``M[j, i]`` for matrices
-        declared symmetric.
     """
 
     eps_zero: float = 1e-10
-    eps_psd: float = 1e-12
-    sym_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.eps_zero < 1.0):
             raise ValueError("eps_zero must lie in (0, 1)")
-        if self.eps_psd <= 0.0 or self.sym_tol <= 0.0:
-            raise ValueError("eps_psd and sym_tol must be positive")
 
     def zero_threshold(self, M) -> float:
         """Absolute zero band for entries of ``M``."""
@@ -96,11 +97,7 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Copy with the zero band widened (or narrowed) by ``factor``."""
-        return Tolerances(
-            eps_zero=min(self.eps_zero * factor, 0.5),
-            eps_psd=self.eps_psd,
-            sym_tol=self.sym_tol,
-        )
+        return Tolerances(eps_zero=min(self.eps_zero * factor, 0.5))
 
 
 DEFAULT_TOL = Tolerances()
@@ -124,13 +121,13 @@ def as_square_matrix(M, name="matrix") -> np.ndarray:
     return A
 
 
-def as_covariance(G, tol: Tolerances = DEFAULT_TOL, name="covariance") -> np.ndarray:
-    """Validate ``G`` as a square matrix that is symmetric within ``sym_tol``."""
+def as_covariance(G, name="covariance") -> np.ndarray:
+    """Validate ``G`` as a square matrix that is symmetric within ``SYM_TOL``."""
     A = as_square_matrix(G, name=name)
     if A.size:
         gap = np.abs(A - A.T)
         scale = np.maximum(1.0, np.abs(A))
-        if (gap > tol.sym_tol * scale).any():
+        if (gap > SYM_TOL * scale).any():
             i, j = np.unravel_index(np.argmax(gap / scale), A.shape)
             raise ValueError(
                 f"{name} is not symmetric: |{name}[{i},{j}] - {name}[{j},{i}]|"
@@ -142,48 +139,41 @@ def as_covariance(G, tol: Tolerances = DEFAULT_TOL, name="covariance") -> np.nda
 @dataclass(frozen=True)
 class Covariance:
     """A covariance checked by :func:`covariance`, which alone builds it, with
-    its exactly symmetric inverse and the tolerances it was checked at."""
+    its exactly symmetric inverse."""
 
     G: np.ndarray
     inverse: np.ndarray
-    tol: Tolerances
 
 
-def covariance(G, tol: Tolerances = DEFAULT_TOL) -> Covariance:
+def covariance(G) -> Covariance:
     """``G`` checked by :func:`as_covariance`, with ``G⁻¹`` from the Cholesky
-    factor that certifies it positive definite.  Only ``eps_psd`` and
-    ``sym_tol`` enter here, so a :class:`Covariance` checked at the same two
-    is returned unchanged, whatever its zero band; one checked at others is
-    checked again."""
+    factor that certifies it positive definite.  No zero band enters here,
+    so a :class:`Covariance` is returned unchanged and serves every band."""
     if isinstance(G, Covariance):
-        if (G.tol.eps_psd, G.tol.sym_tol) == (tol.eps_psd, tol.sym_tol):
-            return G
-        G = G.G
-    G = as_covariance(G, tol)
-    return Covariance(G, invert(G, tol, factor=_cholesky(G, tol)), tol)
+        return G
+    G = as_covariance(G)
+    return Covariance(G, invert(G, factor=_cholesky(G)))
 
 
-def cholesky(G, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def cholesky(G) -> np.ndarray:
     """Lower-triangular ``L`` with ``L @ L.T == G``; certifies definiteness.
 
     Parameters
     ----------
     G : array_like
-        Symmetric matrix (within ``tol.sym_tol``); only its lower triangle
+        Symmetric matrix (within ``SYM_TOL``); only its lower triangle
         enters the factorization.
-    tol : Tolerances
-        ``eps_psd`` is the pivot floor.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot is at most ``eps_psd``; the failing column index is the
+        If a pivot is at most ``EPS_PSD``; the failing column index is the
         first leading principal minor that is not positive.
     """
-    return _cholesky(as_covariance(G, tol), tol)
+    return _cholesky(as_covariance(G))
 
 
-def _cholesky(A, tol: Tolerances) -> np.ndarray:
+def _cholesky(A) -> np.ndarray:
     """:func:`cholesky` of a covariance that :func:`as_covariance` accepted."""
     if A.shape[0] == 0:
         return A.copy()
@@ -191,20 +181,20 @@ def _cholesky(A, tol: Tolerances) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         L = None
-    if L is not None and np.diag(L).min() ** 2 > tol.eps_psd:
+    if L is not None and np.diag(L).min() ** 2 > EPS_PSD:
         return L
     # LAPACK stops at the first nonpositive pivot without naming it and
     # does not apply the floor; the unblocked loop names the first pivot at
     # or below it.
-    return _cholesky_unblocked(A, tol)
+    return _cholesky_unblocked(A)
 
 
-def _cholesky_unblocked(A, tol: Tolerances) -> np.ndarray:
+def _cholesky_unblocked(A) -> np.ndarray:
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
         pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= tol.eps_psd:
+        if pivot <= EPS_PSD:
             raise NotPositiveDefiniteError(j, pivot)
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
@@ -212,12 +202,11 @@ def _cholesky_unblocked(A, tol: Tolerances) -> np.ndarray:
     return L
 
 
-def invert(
-    A, tol: Tolerances = DEFAULT_TOL, inv_tol: float | None = None, factor=None
-) -> np.ndarray:
-    """Inverse with a residual guarantee.
+def invert(A, factor=None) -> np.ndarray:
+    """Inverse with a residual guarantee: ``|A @ M - I|_max`` is at most
+    ``1e-10`` times a one-norm condition estimate.
 
-    Without ``factor`` the inverse is LAPACK's, with the ``eps_psd`` floor
+    Without ``factor`` the inverse is LAPACK's, with the ``EPS_PSD`` floor
     on the pivots of LU with partial pivoting; with the Cholesky factor of a
     covariance it comes from that factor and is exactly symmetric.
 
@@ -232,9 +221,6 @@ def invert(
     ----------
     A : array_like
         Square nonsingular matrix.
-    inv_tol : float, optional
-        Bound demanded on ``|A @ M - I|_max``.  Defaults to ``1e-10`` times
-        a one-norm condition estimate.
     factor : ndarray, optional
         Lower-triangular ``L`` with ``L @ L.T == A``, as returned by
         :func:`cholesky`.
@@ -242,7 +228,7 @@ def invert(
     Raises
     ------
     SingularMatrixError
-        When an LU pivot is at most ``eps_psd``, ``factor`` has a zero
+        When an LU pivot is at most ``EPS_PSD``, ``factor`` has a zero
         diagonal entry, or the residual bound fails; ``index`` names the
         failing pivot, or else the smallest one.
     """
@@ -265,18 +251,16 @@ def invert(
         except np.linalg.LinAlgError:
             M = np.full_like(A, np.nan)
     residual = float(np.abs(A @ M - np.eye(n)).max())
-    if inv_tol is None:
-        cond = np.linalg.norm(A, 1) * np.linalg.norm(M, 1)
-        inv_tol = 1e-10 * max(1.0, cond)
+    bound = 1e-10 * max(1.0, np.linalg.norm(A, 1) * np.linalg.norm(M, 1))
     # A NaN in M fails both tests. Where both pass, no pivot can be at the
     # floor; elsewhere the pivot loop raises at it or names the smallest.
     if factor is None and not (
-        residual <= inv_tol and 10.0 * n * float(np.abs(M).max()) * tol.eps_psd < 1.0
+        residual <= bound and 10.0 * n * float(np.abs(M).max()) * EPS_PSD < 1.0
     ):
-        k = int(np.argmin(np.abs(_lu_pivots(A, tol))))
-    if not residual <= inv_tol:
+        k = int(np.argmin(np.abs(_lu_pivots(A))))
+    if not residual <= bound:
         raise SingularMatrixError(
-            k, f"inverse residual {residual:.3e} exceeds {inv_tol:.3e}"
+            k, f"inverse residual {residual:.3e} exceeds {bound:.3e}"
         )
     return M
 
@@ -307,20 +291,20 @@ def _tril_inverse(L) -> np.ndarray:
     return out
 
 
-def _lu_pivots(A, tol: Tolerances) -> np.ndarray:
+def _lu_pivots(A) -> np.ndarray:
     """diag(U) of the LU factorization with partial pivoting, column by column.
 
     Raises
     ------
     SingularMatrixError
-        At the first pivot whose magnitude is at most ``eps_psd``.
+        At the first pivot whose magnitude is at most ``EPS_PSD``.
     """
     U = A.copy()
     n = U.shape[0]
     for k in range(n):
         p = k + int(np.argmax(np.abs(U[k:, k])))
         U[[k, p]] = U[[p, k]]
-        if abs(U[k, k]) <= tol.eps_psd:
+        if abs(U[k, k]) <= EPS_PSD:
             raise SingularMatrixError(k)
         U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
     return np.diag(U).copy()

@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    Tolerances,
     as_covariance,
     as_square_matrix,
     cholesky,
@@ -62,8 +61,11 @@ class ChainSpec:
         return np.asarray(self.T).shape[0]
 
 
-def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> float:
+def validate_chain(chain: ChainSpec) -> float:
     """Raise :class:`InvalidChainError` unless all chain invariants hold.
+
+    Entries of ``T`` and ``kappa`` inside the default zero band of ``T``
+    count as zero, whatever band a verdict on the covariance used.
 
     Returns the certified bound ``rho(T) <= 1 - 1/max(x) < 1`` with
     ``(I - T) x = 𝟙`` (see :func:`~gaussgreen.linalg.transience_bound`).
@@ -73,7 +75,7 @@ def validate_chain(chain: ChainSpec, tol: Tolerances = DEFAULT_TOL) -> float:
     n = T.shape[0]
     if n == 0:
         raise InvalidChainError("chain needs at least one state")
-    thr = tol.zero_threshold(T)
+    thr = DEFAULT_TOL.zero_threshold(T)
     if kappa.shape != (n,):
         raise InvalidChainError(f"kappa has shape {kappa.shape}, expected ({n},)")
     if not np.isfinite(kappa).all():

@@ -294,7 +294,7 @@ class TestExitCodes:
         assert "internal numerical failure (forced)" in capsys.readouterr().err
 
     def test_detailed_balance_failure_exits_four(self, min_kernel_csv, monkeypatch, capsys):
-        def fail(dec, tol):
+        def fail(dec):
             raise decomposition.SymmetryViolationError((0, 1), 1.0)
 
         monkeypatch.setattr(decomposition, "symmetric_green", fail)
@@ -372,9 +372,9 @@ def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
         calls["cholesky"] += 1
         return cholesky(*args, **kwargs)
 
-    def counted_invert(A, tol=linalg.DEFAULT_TOL, inv_tol=None, factor=None):
+    def counted_invert(A, factor=None):
         calls["general_inverse"] += factor is None
-        return invert(A, tol, inv_tol, factor)
+        return invert(A, factor)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for owner in (linalg, cli, criteria, decomposition):
@@ -531,6 +531,15 @@ def test_eps_sets_the_reported_tolerance(min_kernel_csv, tmp_path):
     out = tmp_path / "sweep.json"
     main(["sweep", "--betas", "0.5", "--grids", "1,2", "--eps", "1e-9", "--out", str(out)])
     assert json.loads(out.read_text())["tolerances"]["eps_zero"] == 1e-9
+
+
+@pytest.mark.parametrize("eps", ["1e-10", "0.01"])
+def test_check_report_tolerances_are_the_band_and_two_constants(min_kernel_csv, tmp_path,
+                                                                 eps):
+    out = tmp_path / "check.json"
+    assert main(["check", "--input", str(min_kernel_csv), "--eps", eps, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"] == {
+        "eps_psd": 1e-12, "eps_zero": float(eps), "sym_tol": 1e-08}
 
 
 def test_main_dispatches_through_rebound_commands(monkeypatch):

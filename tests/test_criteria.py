@@ -399,7 +399,7 @@ class TestBruteForceAgreement:
 def reference_find_signature(G, tol=Tolerances()):
     """Edge-at-a-time breadth-first sign propagation, the reference for the
     vectorized frontier in :func:`find_signature`."""
-    A = invert(G, tol, factor=cholesky(G, tol))
+    A = invert(G, factor=cholesky(G))
     A = 0.5 * (A + A.T)
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)

@@ -12,7 +12,14 @@ from gaussgreen.decomposition import (
     reconstruct,
     symmetric_green,
 )
-from gaussgreen.kernels import fbm_cov, random_green, scale_conjugate, sheet_counterexample
+from gaussgreen.kernels import (
+    brownian_cov,
+    fbm_cov,
+    random_green,
+    scale_conjugate,
+    sheet_counterexample,
+)
+from gaussgreen.linalg import Tolerances
 from gaussgreen.simulate import ChainSpec, simulate_green
 from helpers import MIN_KERNEL, min_kernel
 
@@ -111,12 +118,24 @@ class TestDecompose:
         assert len(dec.signature.components) == 2
         np.testing.assert_allclose(reconstruct(dec), G, atol=1e-10)
 
-    def test_c_margin(self):
-        dec = decompose(MIN_KERNEL, c_margin=0.5)
-        assert dec.c == pytest.approx(2.5)
-        np.testing.assert_allclose(reconstruct(dec), MIN_KERNEL, atol=1e-10)
-        with pytest.raises(ValueError):
-            decompose(MIN_KERNEL, c_margin=-1.0)
+    @pytest.mark.parametrize("eps", [1e-6, 0.01])
+    @pytest.mark.parametrize(
+        "G",
+        [brownian_cov([1.0, 1.000000001, 2.0]),
+         scale_conjugate(brownian_cov([1.0, 2.0, 3.0, 4.0, 5.0]), [1000.0] * 5)],
+        ids=["close_points", "scaled_1e6"],
+    )
+    def test_band_split_component_agrees_with_classify(self, G, eps):
+        # The band drops nonzero entries of G⁻¹ from the sign graph, so one
+        # connected component falls apart into several; the chain is still
+        # built and verified.
+        tol = Tolerances(eps_zero=eps)
+        cls = classify_green(G, tol)
+        assert cls.kind == "green"
+        assert len(cls.verdict.signature.components) > 1
+        dec = decompose(G, tol)
+        np.testing.assert_array_equal(dec.signature.signs, cls.verdict.signature.signs)
+        assert dec.reconstruction_error <= 1e-9
 
 
 class TestUnitScaling:
