@@ -6,11 +6,12 @@ infinitely divisible square exactly when some ±1 diagonal conjugation turns
 This module certifies or refutes that property with explicit witnesses:
 
 * :func:`is_m_matrix` produces an ``(c, B, u)`` splitting certificate with
-  a certified spectral-radius bracket, or a typed failure.  The bracket
-  comes from the positive vector ``u = A⁻¹ 𝟙``, which ``A`` maps to ``𝟙``:
-  a Z-matrix with such a vector is a nonsingular M-matrix, and the
-  Collatz–Wielandt ratios ``(B u)_i / u_i`` enclose ``rho(B)``.  The same
-  ``u`` scales the killed chain of :mod:`gaussgreen.decomposition`.
+  a certified spectral-radius bracket, or a typed failure.  One solve gives
+  ``u = A⁻¹ 𝟙``: a Z-matrix with ``u > 0`` and ``A u > 0`` beyond rounding
+  is a nonsingular M-matrix, and the Collatz–Wielandt ratios
+  ``(B u)_i / u_i`` enclose ``rho(B)``; a ``u_i <= 0`` is the witness
+  against it.  The same ``u`` scales the killed chain of
+  :mod:`gaussgreen.decomposition`.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle / entry witness.
@@ -33,12 +34,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    SingularMatrixError,
     Tolerances,
     as_covariance,
     as_square_matrix,
     covariance,
-    invert,
     is_nonneg,
 )
 
@@ -85,7 +84,7 @@ class MMatrixCert:
     """Certificate that ``A`` is a nonsingular M-matrix.
 
     ``A = c I - B`` with ``B >= 0`` (within the zero band), the positive
-    vector ``u = A⁻¹ 𝟙`` with ``A u = 𝟙``, and the bracket
+    vector ``u ≈ A⁻¹ 𝟙`` with ``A u > 0`` beyond rounding, and the bracket
     ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
     """
 
@@ -101,14 +100,14 @@ class MMatrixFailure:
     """Why a matrix is not an M-matrix.
 
     ``reason`` is one of ``"offdiag_positive"`` (entry at ``index`` exceeds
-    the zero band), ``"singular"``, ``"inverse_negative"`` (entry of the
-    inverse at ``index`` below the band) or ``"spectral_gap"`` (the
-    certified bracket could not separate ``rho(B)`` from ``c``; only
-    possible within tolerance noise).
+    the zero band), ``"singular"``, ``"inverse_negative"`` (``index = (i,)``
+    names the first ``u_i <= 0`` of ``u = A⁻¹ 𝟙``, ``value`` is ``u_i``) or
+    ``"spectral_gap"`` (rounding leaves ``A u > 0`` uncertified; ``value``
+    is ``rho_upper - c``, which can be negative).
     """
 
     reason: str
-    index: tuple[int, int] | None = None
+    index: tuple[int, ...] | None = None
     value: float | None = None
 
 
@@ -161,50 +160,53 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
     """Certify ``A`` as a nonsingular M-matrix or explain the failure.
 
     Checks, in order: off-diagonals nonpositive within the zero band;
-    nonsingularity and entrywise nonnegativity of the inverse; and the
-    splitting ``A = c I - B`` with ``c = max_i A_ii`` and ``rho(B) < c``,
-    certified by the Collatz–Wielandt ratios of ``u = A⁻¹ 𝟙``.  Returns
+    nonsingularity, by one solve for ``u = A⁻¹ 𝟙``; ``u > 0``; and
+    ``A u > 0`` beyond rounding, which certifies the bracket on ``rho(B)``
+    in the splitting ``A = c I - B`` with ``c = max_i A_ii``.  Returns
     :class:`MMatrixCert` or :class:`MMatrixFailure`.
     """
     A = as_square_matrix(A)
-    thr = tol.zero_threshold(A)
-
     off = A.copy()
     np.fill_diagonal(off, -np.inf)
-    if A.shape[0] > 1:
-        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        if off[i, j] > thr:
-            return MMatrixFailure(
-                "offdiag_positive", (int(i), int(j)), float(A[i, j])
-            )
+    i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+    if off[i, j] > tol.zero_threshold(A):
+        return MMatrixFailure(
+            "offdiag_positive", (int(i), int(j)), float(A[i, j])
+        )
 
     try:
-        Ainv = invert(A)
-    except SingularMatrixError:
+        u = np.linalg.solve(A, np.ones(A.shape[0]))
+    except np.linalg.LinAlgError:
         return MMatrixFailure("singular")
-    check = is_nonneg(Ainv, tol.zero_threshold(Ainv))
-    if not check.ok:
-        return MMatrixFailure("inverse_negative", check.index, check.min_value)
-    return _bracket(A, Ainv.sum(axis=1), thr)
+    i = int(np.argmax(u <= 0.0))
+    if u[i] <= 0.0:
+        return MMatrixFailure("inverse_negative", (i,), float(u[i]))
+    return _bracket(A, u)
 
 
-def _bracket(A, u, thr: float):
-    """Certificate of a Z-matrix ``A`` from ``u = A⁻¹ 𝟙``, or the
+def _bracket(A, u):
+    """Certificate of a Z-matrix ``A`` from ``u ≈ A⁻¹ 𝟙``, or the
     ``"spectral_gap"`` failure: a positive ``u`` with ``A u > 0`` makes ``A``
     a nonsingular M-matrix, and with ``A = c I - B`` the ratios
-    ``(B u)_i / u_i`` bracket ``rho(B)``."""
+    ``(B u)_i / u_i`` bracket ``rho(B)``.  ``A u > 0`` holds where the
+    computed product exceeds the bound ``γ_n |A| |u|`` on its rounding
+    error (Higham 2002, §3.5); taking ``ε`` in ``γ_n = n ε / (1 - n ε)`` as
+    the machine epsilon, twice the unit roundoff, covers the rounding of
+    the bound itself.
+    """
     c = float(A.diagonal().max())
     B = c * np.eye(A.shape[0]) - A
     if u.min() <= 0.0:
         # No positive vector to bound rho(B) with; only zero-band noise in
-        # the inverse can get here.
+        # the conjugated covariance can get here.
         return MMatrixFailure("spectral_gap", None, None)
     ratios = (B @ u) / u
     rho_lower = max(0.0, float(ratios.min()))
     rho_upper = float(ratios.max())
-    if rho_upper >= c + thr:
-        # Mathematically impossible for an M-matrix; reaching this point
-        # means the instance is undecidable at the current band.
+    eps_n = A.shape[0] * np.finfo(float).eps
+    if not (A @ u > eps_n / (1.0 - eps_n) * (np.abs(A) @ u)).all():
+        # Reaching this point means the instance is undecidable in double
+        # precision, or at the current band.
         return MMatrixFailure("spectral_gap", None, rho_upper - c)
     return MMatrixCert(
         c=c,
@@ -324,9 +326,10 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     ``S G S``; the verdict carries the winning signature plus certificate,
     or the witness that defeated every signature, along with the numerical
     margins the decision rested on.  A signature already makes the
-    off-diagonals of ``S G⁻¹ S`` nonpositive and ``S G S`` nonnegative at
-    the zero bands :func:`is_m_matrix` uses, so only the Collatz–Wielandt
-    bracket of ``u = S G S 𝟙`` is left to check.
+    off-diagonals of ``S G⁻¹ S`` nonpositive at the zero band
+    :func:`is_m_matrix` uses, and ``S G S`` nonnegative within its band, so
+    ``u = S G S 𝟙`` takes the place of that function's solve and only the
+    Collatz–Wielandt bracket of ``u`` is left to check.
     """
     cov = covariance(G)
     sig = find_signature(cov, tol)
@@ -340,7 +343,7 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
 
     conj_inv = sig.conjugate(cov.inverse)
     conj_cov = sig.conjugate(cov.G)
-    result = _bracket(conj_inv, conj_cov.sum(axis=1), thr)
+    result = _bracket(conj_inv, conj_cov.sum(axis=1))
     off = conj_inv.copy()
     np.fill_diagonal(off, -np.inf)
     margins = {

@@ -157,7 +157,7 @@ def scale_conjugate(G, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (G.shape[0],):
         raise ValueError(f"scaling has shape {d.shape}, expected ({G.shape[0]},)")
-    if d.size and d.min() <= 0.0:
+    if d.min() <= 0.0:
         raise NonPositiveScaleError("scaling entries must be strictly positive")
     return d[:, None] * G * d[None, :]
 

@@ -11,12 +11,9 @@ caller sets; the pivot floor :data:`EPS_PSD` and the symmetry slack
 
 Positive definiteness is certified by numpy's LAPACK Cholesky
 factorization with the pivot floor, and the inverse of a covariance comes
-from that same factor through a blocked triangular inverse; a general
-matrix gets LAPACK's inverse with the same floor on the pivots of LU with
-partial pivoting, so that ill-signed inverses of conjugated matrices do not
-sneak through a symmetric-only path.  :func:`covariance` alone validates,
-factors and inverts a covariance, once for every later test and every zero
-band.  numpy is the only dependency.
+from that same factor through a blocked triangular inverse.
+:func:`covariance` alone validates, factors and inverts a covariance, once
+for every later test and every zero band.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -58,15 +55,14 @@ class NotPositiveDefiniteError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """Elimination met a pivot at or below the floor at ``index``."""
+    """An inverse failed at pivot ``index`` of its factor."""
 
     def __init__(self, index, message=None):
         self.index = int(index)
         super().__init__(message or f"matrix is singular at pivot {index}")
 
 
-# Pivot floor for Cholesky and for LU with partial pivoting, the latter
-# applied to the LAPACK inverse of a general matrix.
+# Pivot floor for Cholesky: a pivot at or below it is not positive.
 EPS_PSD = 1e-12
 # Slack allowed between M[i, j] and M[j, i] for matrices declared symmetric.
 SYM_TOL = 1e-8
@@ -112,11 +108,13 @@ class NonnegCheck(NamedTuple):
 
 
 def as_square_matrix(M, name="matrix") -> np.ndarray:
-    """Validate and return ``M`` as a finite square float64 array."""
+    """Validate and return ``M`` as a nonempty finite square float64 array."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
+    if A.size == 0:
+        raise ValueError(f"{name} is empty")
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return A
 
@@ -124,15 +122,14 @@ def as_square_matrix(M, name="matrix") -> np.ndarray:
 def as_covariance(G, name="covariance") -> np.ndarray:
     """Validate ``G`` as a square matrix that is symmetric within ``SYM_TOL``."""
     A = as_square_matrix(G, name=name)
-    if A.size:
-        gap = np.abs(A - A.T)
-        scale = np.maximum(1.0, np.abs(A))
-        if (gap > SYM_TOL * scale).any():
-            i, j = np.unravel_index(np.argmax(gap / scale), A.shape)
-            raise ValueError(
-                f"{name} is not symmetric: |{name}[{i},{j}] - {name}[{j},{i}]|"
-                f" = {gap[i, j]:.3e}"
-            )
+    gap = np.abs(A - A.T)
+    scale = np.maximum(1.0, np.abs(A))
+    if (gap > SYM_TOL * scale).any():
+        i, j = np.unravel_index(np.argmax(gap / scale), A.shape)
+        raise ValueError(
+            f"{name} is not symmetric: |{name}[{i},{j}] - {name}[{j},{i}]|"
+            f" = {gap[i, j]:.3e}"
+        )
     return A
 
 
@@ -175,8 +172,6 @@ def cholesky(G) -> np.ndarray:
 
 def _cholesky(A) -> np.ndarray:
     """:func:`cholesky` of a covariance that :func:`as_covariance` accepted."""
-    if A.shape[0] == 0:
-        return A.copy()
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -202,62 +197,36 @@ def _cholesky_unblocked(A) -> np.ndarray:
     return L
 
 
-def invert(A, factor=None) -> np.ndarray:
-    """Inverse with a residual guarantee: ``|A @ M - I|_max`` is at most
-    ``1e-10`` times a one-norm condition estimate.
-
-    Without ``factor`` the inverse is LAPACK's, with the ``EPS_PSD`` floor
-    on the pivots of LU with partial pivoting; with the Cholesky factor of a
-    covariance it comes from that factor and is exactly symmetric.
-
-    ``PA = LU`` with multipliers ``|l_ij| <= 1`` gives ``U⁻¹ = A⁻¹ Pᵀ L``,
-    so every pivot satisfies ``|u_kk| >= 1 / (n max|A⁻¹|)``.  The pivots
-    are therefore computed, one column at a time, only when that bound
-    (with a factor 10 for roundoff in the computed inverse) does not clear
-    the floor, when LAPACK finds the matrix singular, or when the residual
-    check fails.
+def invert(A, factor) -> np.ndarray:
+    """Inverse of a covariance from its Cholesky factor, exactly symmetric and
+    with a residual guarantee: ``|A @ M - I|_max`` is at most ``1e-10``
+    times a one-norm condition estimate.
 
     Parameters
     ----------
     A : array_like
-        Square nonsingular matrix.
-    factor : ndarray, optional
+        Square symmetric positive definite matrix.
+    factor : ndarray
         Lower-triangular ``L`` with ``L @ L.T == A``, as returned by
         :func:`cholesky`.
 
     Raises
     ------
     SingularMatrixError
-        When an LU pivot is at most ``EPS_PSD``, ``factor`` has a zero
-        diagonal entry, or the residual bound fails; ``index`` names the
-        failing pivot, or else the smallest one.
+        When ``factor`` has a zero diagonal entry, or when the residual
+        bound fails; ``index`` names that entry, or else the smallest one.
     """
     A = as_square_matrix(A)
-    n = A.shape[0]
-    if n == 0:
-        return A.copy()
-    if factor is not None:
-        diag = np.abs(np.diag(factor))
-        k = int(np.argmin(diag))
-        if diag[k] == 0.0:
-            raise SingularMatrixError(k)
-        Linv = _tril_inverse(factor)
-        # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric.
-        lower = np.tril(Linv.T @ Linv)
-        M = lower + np.tril(lower, -1).T
-    else:
-        try:
-            M = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            M = np.full_like(A, np.nan)
-    residual = float(np.abs(A @ M - np.eye(n)).max())
+    diag = np.abs(np.diag(factor))
+    k = int(np.argmin(diag))
+    if diag[k] == 0.0:
+        raise SingularMatrixError(k)
+    Linv = _tril_inverse(factor)
+    # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric.
+    lower = np.tril(Linv.T @ Linv)
+    M = lower + np.tril(lower, -1).T
+    residual = float(np.abs(A @ M - np.eye(A.shape[0])).max())
     bound = 1e-10 * max(1.0, np.linalg.norm(A, 1) * np.linalg.norm(M, 1))
-    # A NaN in M fails both tests. Where both pass, no pivot can be at the
-    # floor; elsewhere the pivot loop raises at it or names the smallest.
-    if factor is None and not (
-        residual <= bound and 10.0 * n * float(np.abs(M).max()) * EPS_PSD < 1.0
-    ):
-        k = int(np.argmin(np.abs(_lu_pivots(A))))
     if not residual <= bound:
         raise SingularMatrixError(
             k, f"inverse residual {residual:.3e} exceeds {bound:.3e}"
@@ -289,25 +258,6 @@ def _tril_inverse(L) -> np.ndarray:
     out[h:, h:] = Dinv
     out[h:, :h] = -(Dinv @ (L[h:, :h] @ Pinv))
     return out
-
-
-def _lu_pivots(A) -> np.ndarray:
-    """diag(U) of the LU factorization with partial pivoting, column by column.
-
-    Raises
-    ------
-    SingularMatrixError
-        At the first pivot whose magnitude is at most ``EPS_PSD``.
-    """
-    U = A.copy()
-    n = U.shape[0]
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
-        U[[k, p]] = U[[p, k]]
-        if abs(U[k, k]) <= EPS_PSD:
-            raise SingularMatrixError(k)
-        U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
-    return np.diag(U).copy()
 
 
 def transience_bound(T) -> float:

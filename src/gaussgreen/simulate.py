@@ -73,14 +73,12 @@ def validate_chain(chain: ChainSpec) -> float:
     T = as_square_matrix(chain.T, name="transition matrix")
     kappa = np.asarray(chain.kappa, dtype=float)
     n = T.shape[0]
-    if n == 0:
-        raise InvalidChainError("chain needs at least one state")
     thr = DEFAULT_TOL.zero_threshold(T)
     if kappa.shape != (n,):
         raise InvalidChainError(f"kappa has shape {kappa.shape}, expected ({n},)")
     if not np.isfinite(kappa).all():
         raise InvalidChainError("kappa contains NaN or Inf")
-    if T.size and T.min() < -thr:
+    if T.min() < -thr:
         raise InvalidChainError(f"negative transition probability {T.min():.3e}")
     if kappa.min() < -thr:
         raise InvalidChainError(f"negative killing probability {kappa.min():.3e}")

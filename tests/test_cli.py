@@ -13,7 +13,6 @@ from gaussgreen import __version__, cli, criteria, decomposition, linalg
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import brownian_cov, fbm_cov, sheet_counterexample
-from gaussgreen.linalg import invert
 from gaussgreen.simulate import ChainSpec, validate_chain
 from helpers import MIN_KERNEL
 
@@ -104,7 +103,7 @@ class TestCmdCheck:
     def test_borderline_instance_is_indeterminate(self, tmp_path):
         delta = 3e-10  # above eps_zero, below 10 * eps_zero
         A = np.array([[2.0, -1.0, delta], [-1.0, 2.0, -1.0], [delta, -1.0, 1.0]])
-        G = invert(A)
+        G = np.linalg.inv(A)
         path = tmp_path / "borderline.json"
         write_json_matrix(path, G)
         out = tmp_path / "report.json"
@@ -365,30 +364,23 @@ class TestExitCodes:
 
 
 def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
-    calls = {"cholesky": 0, "general_inverse": 0}
+    calls = {"cholesky": 0}
     cholesky = np.linalg.cholesky
 
     def counted_cholesky(*args, **kwargs):
         calls["cholesky"] += 1
         return cholesky(*args, **kwargs)
 
-    def counted_invert(A, factor=None):
-        calls["general_inverse"] += factor is None
-        return invert(A, factor)
-
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    for owner in (linalg, cli, criteria, decomposition):
-        if hasattr(owner, "invert"):
-            monkeypatch.setattr(owner, "invert", counted_invert)
     inputs = {"id": fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5),
               "not_id": sheet_counterexample()[1]}
     for label, G in inputs.items():
         path = tmp_path / f"{label}.json"
         write_json_matrix(path, G)
         for command in ("check", "decompose"):
-            calls.update(cholesky=0, general_inverse=0)
+            calls.update(cholesky=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
-            assert calls == {"cholesky": 1, "general_inverse": 0}, (label, command)
+            assert calls == {"cholesky": 1}, (label, command)
 
 
 def _same(a, b):

@@ -1,9 +1,10 @@
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussgreen.criteria import (
@@ -75,6 +76,74 @@ class TestIsMMatrix:
         assert isinstance(failure, MMatrixFailure)
         assert failure.reason == "inverse_negative"
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_negative_witness(self, n, seed):
+        # A nonsingular Z-matrix that is not an M-matrix has no positive
+        # u = A⁻¹ 1; the witness is the first u_i <= 0, whose row of A⁻¹
+        # then sums to at most 0 and so has a negative entry.
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(0.0, 1.0, size=(n, n))
+        B[rng.uniform(size=(n, n)) < 0.4] = 0.0
+        np.fill_diagonal(B, 0.0)
+        A = np.diag(rng.uniform(0.1, 2.0, size=n)) - B
+        assume(np.linalg.eigvals(A).real.min() < 0.0 and np.linalg.cond(A) < 1e8)
+        failure = is_m_matrix(A)
+        assert isinstance(failure, MMatrixFailure)
+        assert failure.reason == "inverse_negative"
+        u = np.linalg.solve(A, np.ones(n))
+        i = int(np.flatnonzero(u <= 0.0)[0])
+        assert failure.index == (i,)
+        assert failure.value == u[i] <= 0.0
+        assert np.linalg.inv(A)[i].min() < 0.0
+
+    def test_certificates_hold_in_exact_arithmetic(self):
+        # A = I - B / (rho(B) (1 + delta)) with B >= 0 irreducible is an
+        # M-matrix exactly when delta > 0 (up to the rounding of A itself),
+        # and nearly singular for small |delta|.  Exact rational arithmetic
+        # on the float entries decides what A is and whether A u > 0 holds.
+        def exact_m_matrix(A):
+            # A Z-matrix is a nonsingular M-matrix iff its leading principal
+            # minors are positive, i.e. elimination without pivoting meets
+            # only positive pivots.
+            M = [[Fraction(x) for x in row] for row in A.tolist()]
+            for k in range(len(M)):
+                if M[k][k] <= 0:
+                    return False
+                for i in range(k + 1, len(M)):
+                    f = M[i][k] / M[k][k]
+                    M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+            return True
+
+        rng = np.random.default_rng(20240611)
+        certified = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            B = rng.uniform(0.0, 1.0, size=(n, n))
+            B[rng.uniform(size=(n, n)) < 0.3] = 0.0
+            cycle = rng.permutation(n)
+            B[cycle, np.roll(cycle, -1)] = rng.uniform(0.5, 1.0, size=n)
+            np.fill_diagonal(B, 0.0)
+            rho = float(np.abs(np.linalg.eigvals(B)).max())
+            for e in range(9, 17):
+                for delta in (10.0**-e, -(10.0**-e)):
+                    A = np.eye(n) - B / (rho * (1.0 + delta))
+                    result = is_m_matrix(A)
+                    exact = exact_m_matrix(A)
+                    if isinstance(result, MMatrixCert):
+                        certified += 1
+                        assert exact, (n, delta)
+                        Af = [[Fraction(x) for x in row] for row in A.tolist()]
+                        uf = [Fraction(x) for x in result.u.tolist()]
+                        assert all(a <= 0 for i, row in enumerate(Af)
+                                   for j, a in enumerate(row) if i != j)
+                        assert all(sum(a * b for a, b in zip(row, uf)) > 0
+                                   for row in Af), (n, delta)
+                    elif exact and abs(delta) >= 1e-13:
+                        pytest.fail(f"M-matrix not certified: n={n}, delta={delta}, "
+                                    f"{result.reason}")
+        assert certified > 0
+
     def test_reconstruction_identity(self):
         cert = is_m_matrix(MIN_KERNEL_INV)
         np.testing.assert_allclose(
@@ -85,7 +154,7 @@ class TestIsMMatrix:
     @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
     def test_bracket_encloses_spectral_radius(self, n, seed):
         _, g = random_green(n, seed, symmetric=True)
-        cert = is_m_matrix(invert(g))
+        cert = is_m_matrix(np.linalg.inv(g))
         assert isinstance(cert, MMatrixCert)
         oracle = float(np.abs(np.linalg.eigvals(cert.B)).max())
         assert cert.rho_lower - 1e-9 <= oracle <= cert.rho_upper + 1e-9
@@ -103,7 +172,7 @@ class TestIsMMatrix:
         rng = np.random.default_rng(11)
         for _ in range(20):
             _, g = random_green(4, rng.integers(1 << 31), symmetric=True)
-            A = invert(g)
+            A = np.linalg.inv(g)
             cert = is_m_matrix(A)
             assert isinstance(cert, MMatrixCert)
             assert np.linalg.inv(A).min() >= -1e-10
@@ -135,12 +204,12 @@ class TestFindSignature:
         # the unremovable positive entry of the inverse
         assert wit.index == (0, 1)
         assert wit.value == pytest.approx(1.0 / 74.0, rel=1e-10)
-        A = invert(G)
+        A = np.linalg.inv(G)
         assert signature_product_around(A, wit.cycle) == -1
 
     def test_frustrated_triangle(self):
         A = np.array([[2.0, 0.5, 0.5], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]])
-        G = invert(A)
+        G = np.linalg.inv(A)
         wit = find_signature(G)
         assert isinstance(wit, NoSignature)
         assert wit.reason == "cycle"
@@ -150,7 +219,7 @@ class TestFindSignature:
         # off-diagonal of the inverse hides below the zero band while the
         # covariance coupling it induces does not
         A = np.array([[1e-3, 0.9e-10], [0.9e-10, 1e-3]])
-        G = invert(A)
+        G = np.linalg.inv(A)
         wit = find_signature(G)
         assert isinstance(wit, NoSignature)
         assert wit.reason == "entry"
@@ -168,7 +237,7 @@ class TestFindSignature:
         sig = find_signature(G)
         assert isinstance(sig, Signature)
         assert len(sig.components) == 2
-        A = invert(G)
+        A = np.linalg.inv(G)
         base = is_m_matrix(sig.conjugate(A))
         for comp in sig.components:
             flipped = sig.signs.copy()
@@ -380,7 +449,7 @@ class TestBruteForceAgreement:
                 G = s0[:, None] * g * s0[None, :]
             else:
                 G = random_spd(n, rng)
-            A = invert(G)
+            A = np.linalg.inv(G)
             expected = brute_force_signature(G, A)
             found = find_signature(G)
             if expected is None:
@@ -447,8 +516,8 @@ def test_vectorized_bfs_matches_reference():
         ring = 3.0 * np.eye(n)
         for k in range(n):
             ring[k, (k + 1) % n] = ring[(k + 1) % n, k] = 1.0 if k == 2 else -1.0
-        corpus.append(invert(ring))
-    corpus.append(invert(np.array([[1e-3, 0.9e-10], [0.9e-10, 1e-3]])))
+        corpus.append(np.linalg.inv(ring))
+    corpus.append(np.linalg.inv(np.array([[1e-3, 0.9e-10], [0.9e-10, 1e-3]])))
     for n in (6, 15, 40):
         corpus.append(random_spd(n, rng))
         _, g = random_green(n, int(rng.integers(1 << 31)), symmetric=True)

@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgreen import linalg
-from gaussgreen.criteria import MMatrixCert, is_m_matrix
+from gaussgreen.criteria import (
+    MMatrixCert,
+    classify_green,
+    find_signature,
+    is_id_square,
+    is_m_matrix,
+)
+from gaussgreen.decomposition import decompose
+from gaussgreen.kernels import scale_conjugate
+from gaussgreen.simulate import ChainSpec, validate_chain
 from gaussgreen.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -39,6 +48,28 @@ class TestTolerances:
         assert Tolerances().scaled(10).eps_zero == pytest.approx(10 * tol.eps_zero)
 
 
+EMPTY_INPUT_CALLS = {
+    "as_covariance": as_covariance,
+    "cholesky": cholesky,
+    "covariance": linalg.covariance,
+    "invert": lambda E: invert(E, factor=E),
+    "transience_bound": transience_bound,
+    "is_m_matrix": is_m_matrix,
+    "find_signature": find_signature,
+    "is_id_square": is_id_square,
+    "classify_green": classify_green,
+    "decompose": decompose,
+    "scale_conjugate": lambda E: scale_conjugate(E, np.ones(0)),
+    "validate_chain": lambda E: validate_chain(ChainSpec(E, np.zeros(0))),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUT_CALLS)
+def test_empty_matrix_rejected(name):
+    with pytest.raises(ValueError, match="is empty"):
+        EMPTY_INPUT_CALLS[name](np.zeros((0, 0)))
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_allclose(cholesky(np.eye(3)), np.eye(3))
@@ -71,22 +102,28 @@ class TestCholesky:
 
 class TestInvert:
     def test_identity(self):
-        np.testing.assert_allclose(invert(np.eye(4)), np.eye(4))
+        A = np.eye(4)
+        np.testing.assert_allclose(invert(A, factor=cholesky(A)), np.eye(4))
 
     def test_min_kernel(self):
-        np.testing.assert_allclose(invert(MIN_KERNEL), MIN_KERNEL_INV, atol=1e-12)
+        np.testing.assert_allclose(
+            invert(MIN_KERNEL, factor=cholesky(MIN_KERNEL)), MIN_KERNEL_INV, atol=1e-12
+        )
 
     def test_scalar(self):
-        np.testing.assert_allclose(invert(np.array([[2.0]])), [[0.5]])
+        A = np.array([[2.0]])
+        np.testing.assert_allclose(invert(A, factor=cholesky(A)), [[0.5]])
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # L @ L.T is the singular A exactly; the zero pivot of L is named.
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as err:
+            invert(A, factor=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert err.value.index == 1
 
     def test_product_is_identity(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        M = invert(A)
+        A = random_spd(5, np.random.default_rng(3))
+        M = invert(A, factor=cholesky(A))
         np.testing.assert_allclose(A @ M, np.eye(5), atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -96,7 +133,8 @@ class TestInvert:
         A = random_spd(n, np.random.default_rng(seed))
         if np.linalg.cond(A) > 1e6:
             return
-        np.testing.assert_allclose(invert(invert(A)), A, rtol=1e-8, atol=1e-8)
+        M = invert(A, factor=cholesky(A))
+        np.testing.assert_allclose(invert(M, factor=cholesky(M)), A, rtol=1e-8, atol=1e-8)
 
 
 class TestInvertFromCholesky:
@@ -115,7 +153,7 @@ class TestInvertFromCholesky:
     def test_agrees_with_lu_inverse(self, n, seed):
         A = random_spd(n, np.random.default_rng(seed))
         np.testing.assert_allclose(
-            invert(A, factor=cholesky(A)), invert(A), rtol=1e-9, atol=1e-12
+            invert(A, factor=cholesky(A)), np.linalg.inv(A), rtol=1e-9, atol=1e-12
         )
 
 
@@ -130,89 +168,14 @@ class TestCovariance:
 class TestTrilInverse:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
     def test_matches_dense_inverse(self, n):
-        L = cholesky(random_spd(n, np.random.default_rng(n)))
+        A = random_spd(n, np.random.default_rng(n))
+        L = cholesky(A)
         X = linalg._tril_inverse(L)
         ref = np.linalg.inv(L)
         assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
         assert not np.triu(X, 1).any()
-
-
-def _lu_pivots(A):
-    """diag(U) of partially pivoted LU, one column at a time (reference)."""
-    U = np.array(A, dtype=float)
-    n = U.shape[0]
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
-        U[[k, p]] = U[[p, k]]
-        U[k + 1 :, k:] -= np.outer(U[k + 1 :, k] / U[k, k], U[k, k:])
-    return np.diag(U).copy()
-
-
-def _planted_lu(rng, n, k, pivot):
-    """``Lo @ U`` with ``|Lo_ij| < 1`` below a unit diagonal and ``U[k, k] =
-    pivot``: partial pivoting keeps the row order (and undoes any row
-    permutation), so the pivots are ``diag(U)`` up to roundoff."""
-    Lo = np.tril(rng.uniform(-0.5, 0.5, size=(n, n)), -1) + np.eye(n)
-    U = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
-    np.fill_diagonal(U, rng.uniform(1.0, 2.0, size=n))
-    U[k, k] = pivot
-    return Lo @ U
-
-
-class TestGaussJordan:
-    """``invert`` without a factor: its elimination pivots, which are the
-    diagonal of U in LU with partial pivoting, and the floor on them."""
-
-    @pytest.mark.parametrize("n", [31, 32, 33, 70])
-    def test_pivots_are_lu_diagonal(self, n):
-        rng = np.random.default_rng(n)
-        A = rng.normal(size=(n, n))
-        pivots = linalg._lu_pivots(A)
-        np.testing.assert_allclose(pivots, _lu_pivots(A), rtol=1e-9)
-        np.testing.assert_allclose(A @ invert(A), np.eye(n), atol=1e-10)
-
-    @pytest.mark.parametrize("n, k", [(2, 1), (70, 40)])
-    def test_tiny_pivot_raises(self, n, k):
-        with pytest.raises(SingularMatrixError) as err:
-            invert(_planted_lu(np.random.default_rng(n), n, k, 1e-13))
-        assert err.value.index == k
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 40), e=st.integers(0, 15),
-           seed=st.integers(0, 2**32 - 1))
-    def test_floor_matches_reference_pivots(self, data, n, e, seed):
-        k = data.draw(st.integers(0, n - 1))
-        rng = np.random.default_rng(seed)
-        A = _planted_lu(rng, n, k, 10.0**-e)[rng.permutation(n)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_floor = np.flatnonzero(np.abs(_lu_pivots(A)) <= linalg.EPS_PSD)
-        if at_floor.size:
-            with pytest.raises(SingularMatrixError, match="singular at pivot") as err:
-                invert(A)
-            assert err.value.index == at_floor[0]
-        else:
-            invert(A)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 40), e=st.integers(0, 15),
-           seed=st.integers(0, 2**32 - 1), planted=st.booleans())
-    def test_pivots_bounded_by_inverse(self, data, n, e, seed, planted):
-        # PA = LU with |L| <= 1 gives U⁻¹ = A⁻¹ Pᵀ L, so no pivot is below
-        # 1 / (n max|A⁻¹|): the bound behind invert's gate on the pivot loop.
-        rng = np.random.default_rng(seed)
-        if planted:
-            k = data.draw(st.integers(0, n - 1))
-            A = _planted_lu(rng, n, k, 10.0**-e)[rng.permutation(n)]
-        else:
-            A = rng.normal(size=(n, n))
-        bound = np.abs(_lu_pivots(A)).min() * n * np.abs(np.linalg.inv(A)).max()
-        assert bound >= 1.0 - 1e-9
-
-    @pytest.mark.parametrize("n", [31, 33, 65, 200])
-    def test_agrees_with_factor_path(self, n):
-        A = random_spd(n, np.random.default_rng(n))
         np.testing.assert_allclose(
-            invert(A), invert(A, factor=cholesky(A)), rtol=1e-9, atol=1e-12
+            invert(A, factor=L), np.linalg.inv(A), rtol=1e-9, atol=1e-12
         )
 
 
