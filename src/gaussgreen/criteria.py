@@ -7,11 +7,12 @@ This module certifies or refutes that property with explicit witnesses:
 
 * :func:`is_m_matrix` produces an ``(c, B, u)`` splitting certificate with
   a certified spectral-radius bracket, or a typed failure.  One solve gives
-  ``u = A⁻¹ 𝟙``: a Z-matrix with ``u > 0`` and ``A u > 0`` beyond rounding
-  is a nonsingular M-matrix, and the Collatz–Wielandt ratios
-  ``(B u)_i / u_i`` enclose ``rho(B)``; a ``u_i <= 0`` is the witness
-  against it.  The same ``u`` scales the killed chain of
-  :mod:`gaussgreen.decomposition`.
+  ``u = A⁻¹ diag(A)``, which does not depend on how the rows of ``A`` are
+  scaled: a Z-matrix with ``u > 0`` and ``A u > 0`` beyond rounding is a
+  nonsingular M-matrix, and the Collatz–Wielandt ratios ``(B u)_i / u_i``
+  enclose ``rho(B)``; a ``u_i <= 0`` is the witness against it.  The same
+  bracket, fed ``u = S G S 𝟙``, certifies :func:`is_id_square` and scales
+  the killed chain of :mod:`gaussgreen.decomposition`.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle / entry witness.
@@ -84,8 +85,10 @@ class MMatrixCert:
     """Certificate that ``A`` is a nonsingular M-matrix.
 
     ``A = c I - B`` with ``B >= 0`` (within the zero band), the positive
-    vector ``u ≈ A⁻¹ 𝟙`` with ``A u > 0`` beyond rounding, and the bracket
+    vector ``u`` with ``A u > 0`` beyond rounding, and the bracket
     ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
+    :func:`is_m_matrix` gives ``u ≈ A⁻¹ diag(A)``; :func:`is_id_square`
+    gives the chain scaling ``u = S G S 𝟙``, so there ``A u = 𝟙``.
     """
 
     c: float
@@ -101,9 +104,9 @@ class MMatrixFailure:
 
     ``reason`` is one of ``"offdiag_positive"`` (entry at ``index`` exceeds
     the zero band), ``"singular"``, ``"inverse_negative"`` (``index = (i,)``
-    names the first ``u_i <= 0`` of ``u = A⁻¹ 𝟙``, ``value`` is ``u_i``) or
-    ``"spectral_gap"`` (rounding leaves ``A u > 0`` uncertified; ``value``
-    is ``rho_upper - c``, which can be negative).
+    names the first ``u_i <= 0`` of ``u = A⁻¹ diag(A)``, ``value`` is
+    ``u_i``) or ``"spectral_gap"`` (rounding leaves ``A u > 0`` uncertified;
+    ``value`` is ``rho_upper - c``, which can be negative).
     """
 
     reason: str
@@ -160,10 +163,13 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
     """Certify ``A`` as a nonsingular M-matrix or explain the failure.
 
     Checks, in order: off-diagonals nonpositive within the zero band;
-    nonsingularity, by one solve for ``u = A⁻¹ 𝟙``; ``u > 0``; and
+    nonsingularity, by one solve for ``u = A⁻¹ diag(A)``; ``u > 0``; and
     ``A u > 0`` beyond rounding, which certifies the bracket on ``rho(B)``
-    in the splitting ``A = c I - B`` with ``c = max_i A_ii``.  Returns
-    :class:`MMatrixCert` or :class:`MMatrixFailure`.
+    in the splitting ``A = c I - B`` with ``c = max_i A_ii``.  Scaling a
+    row of ``A`` scales the same entry of ``A u = diag(A)``, so ``u`` and
+    the verdict do not depend on row scaling; a diagonal entry ``<= 0``
+    cannot clear the bracket.  Returns :class:`MMatrixCert` or
+    :class:`MMatrixFailure`.
     """
     A = as_square_matrix(A)
     off = A.copy()
@@ -175,7 +181,7 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
         )
 
     try:
-        u = np.linalg.solve(A, np.ones(A.shape[0]))
+        u = np.linalg.solve(A, A.diagonal())
     except np.linalg.LinAlgError:
         return MMatrixFailure("singular")
     i = int(np.argmax(u <= 0.0))
@@ -185,7 +191,7 @@ def is_m_matrix(A, tol: Tolerances = DEFAULT_TOL):
 
 
 def _bracket(A, u):
-    """Certificate of a Z-matrix ``A`` from ``u ≈ A⁻¹ 𝟙``, or the
+    """Certificate of a Z-matrix ``A`` from a vector ``u``, or the
     ``"spectral_gap"`` failure: a positive ``u`` with ``A u > 0`` makes ``A``
     a nonsingular M-matrix, and with ``A = c I - B`` the ratios
     ``(B u)_i / u_i`` bracket ``rho(B)``.  ``A u > 0`` holds where the

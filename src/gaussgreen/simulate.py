@@ -122,12 +122,16 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     return guide.ravel()
 
 
-# Tally cells (start states x paths x states) simulated together: a group
-# holds as many start states as fit, and always at least one.  Bigger groups
-# save more per-step overhead, but their longer per-path arrays fragment the
-# heap: at 2^18 cells a process running the simulate and laplace commands in
-# turn peaked about 4 MB higher in resident memory.
-_GROUP_CELLS = 1 << 16
+# Tally cells (start states x paths x states) simulated together: 2^20
+# cells, 4 MiB of int32 or 8 MiB of float64 tallies.  A chain whose tallies
+# fit runs as one group; a larger one runs in the fewest groups that fit,
+# each as many start states as fit, and always at least one.  On a 2-vCPU
+# Xeon VM with one BLAS thread, the verify_mc benchmark (10 000 paths per
+# start) peaked at 67.1-67.3 MB resident at this budget on seed 1 and at
+# 67.6, 67.4 and 67.1 MB on seeds 2-4, against 68.4-68.9 MB at 2^16 cells.
+# 2^21 and 2^22 cells ran it no faster (11.2 ops/s, as at 2^20) and peaked
+# at 84.9 and 115.4 MB, over the benchmark's 5 % memory bound.
+_GROUP_CELLS = 1 << 20
 
 
 def _per_start(rngs, rows, edges, draw) -> np.ndarray:
@@ -176,7 +180,9 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
         rng.random(out=out)
 
     def sojourns(rng, out):
-        out[:] = rng.exponential(scale, size=out.size)
+        # The same draws as rng.exponential(scale), without a temporary.
+        rng.standard_exponential(out=out)
+        out *= scale
 
     estimate = np.empty((n, n))
     stderr = np.empty((n, n))
@@ -218,10 +224,19 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
             else:
                 np.add.at(flat, rows + states, one)
         overflow += int(rows.size)
+        # np.mean and np.std(ddof=1), step for step and in their axis-0
+        # summation order, from one float64 buffer per start: a copy of the
+        # visit counts, or the occupation times themselves.  The counts'
+        # float64 sums are exact, so the order np.mean's casting sum takes
+        # does not matter.
         for k, start in enumerate(starts):
-            estimate[start] = tallies[k].mean(axis=0)
+            f = tallies[k].astype(float, copy=False)
+            m = np.add.reduce(f, axis=0) / n_paths
+            estimate[start] = m
             if n_paths > 1:
-                stderr[start] = tallies[k].std(axis=0, ddof=1) / np.sqrt(n_paths)
+                f -= m
+                f *= f
+                stderr[start] = np.sqrt(np.add.reduce(f, axis=0) / (n_paths - 1)) / np.sqrt(n_paths)
             else:
                 stderr[start] = 0.0
     return SimReport(

@@ -80,8 +80,9 @@ class TestIsMMatrix:
     @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
     def test_inverse_negative_witness(self, n, seed):
         # A nonsingular Z-matrix that is not an M-matrix has no positive
-        # u = A⁻¹ 1; the witness is the first u_i <= 0, whose row of A⁻¹
-        # then sums to at most 0 and so has a negative entry.
+        # u = A⁻¹ diag(A); the witness is the first u_i <= 0, whose row of
+        # A⁻¹, weighted by the positive diag(A), then sums to at most 0 and
+        # so has a negative entry.
         rng = np.random.default_rng(seed)
         B = rng.uniform(0.0, 1.0, size=(n, n))
         B[rng.uniform(size=(n, n)) < 0.4] = 0.0
@@ -91,7 +92,7 @@ class TestIsMMatrix:
         failure = is_m_matrix(A)
         assert isinstance(failure, MMatrixFailure)
         assert failure.reason == "inverse_negative"
-        u = np.linalg.solve(A, np.ones(n))
+        u = np.linalg.solve(A, A.diagonal())
         i = int(np.flatnonzero(u <= 0.0)[0])
         assert failure.index == (i,)
         assert failure.value == u[i] <= 0.0
@@ -163,10 +164,31 @@ class TestIsMMatrix:
     def test_bracket_from_inverse_row_sums(self):
         cert = is_m_matrix(MIN_KERNEL_INV)
         assert isinstance(cert, MMatrixCert)
-        # u = MIN_KERNEL 1 = (3, 5, 6) and A u = 1, so the smallest ratio
-        # (B u)_i / u_i = c - 1/u_i is 2 - 1/3 and the largest 2 - 1/6
-        assert cert.rho_lower == pytest.approx(2.0 - 1.0 / 3.0)
-        assert cert.rho_upper == pytest.approx(2.0 - 1.0 / 6.0)
+        # u = MIN_KERNEL diag(A) = MIN_KERNEL (2, 2, 1) = (5, 8, 9), the
+        # inverse's row sums weighted by diag(A), and A u = diag(A), so the
+        # ratios (B u)_i / u_i = c - A_ii/u_i are 2 - 2/5, 2 - 2/8, 2 - 1/9
+        np.testing.assert_allclose(cert.u, [5.0, 8.0, 9.0], rtol=1e-14)
+        assert cert.rho_lower == pytest.approx(2.0 - 2.0 / 5.0)
+        assert cert.rho_upper == pytest.approx(2.0 - 1.0 / 9.0)
+
+    def test_row_scaling_invariance(self):
+        # A = D A0 with A0 = I - B / (1.1 rho(B)) an M-matrix and
+        # D = diag(2^k), k in [-30, 30]: u = A⁻¹ diag(A) = A0⁻¹ diag(A0)
+        # whatever D is, so every draw is certified with the unscaled u.
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            B = rng.uniform(0.0, 1.0, size=(n, n))
+            B[rng.uniform(size=(n, n)) < 0.3] = 0.0
+            cycle = rng.permutation(n)
+            B[cycle, np.roll(cycle, -1)] = rng.uniform(0.5, 1.0, size=n)
+            np.fill_diagonal(B, 0.0)
+            A0 = np.eye(n) - B / (1.1 * float(np.abs(np.linalg.eigvals(B)).max()))
+            D = np.exp2(rng.integers(-30, 31, size=n).astype(float))
+            cert = is_m_matrix(D[:, None] * A0)
+            assert isinstance(cert, MMatrixCert), (n, D, cert)
+            np.testing.assert_allclose(cert.u, np.linalg.solve(A0, A0.diagonal()),
+                                       rtol=1e-9)
 
     def test_success_implies_nonneg_inverse(self):
         rng = np.random.default_rng(11)

@@ -419,3 +419,22 @@ class TestMatchesReferenceLoop:
         T[0, 2] = T[3, 3] = 0.0
         chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=1.5)
         _assert_matches_reference(chain, 40, 17)
+
+    @pytest.mark.parametrize("n_paths", [1, 37])
+    @pytest.mark.parametrize("group", [7, 3, None])
+    def test_group_boundaries(self, monkeypatch, group, n_paths):
+        # Budgets of 7 and 3 starts run a 7-state chain as one group and as
+        # groups of 3, 3 and 1; None keeps the default budget, which holds
+        # all seven.
+        from helpers import random_substochastic
+
+        n = 7
+        if group is None:
+            assert simulate._GROUP_CELLS >= n * n_paths * n
+        else:
+            monkeypatch.setattr(simulate, "_GROUP_CELLS", group * n_paths * n)
+        rng = np.random.default_rng(18)
+        T = random_substochastic(n, rng)
+        T[1, 4] = T[5, 5] = 0.0
+        chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=0.7)
+        _assert_matches_reference(chain, n_paths, 19)
