@@ -54,19 +54,26 @@ class QuadratureFailureError(Exception):
     """Adaptive Simpson refinement exceeded its depth budget."""
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {bad[0]}")
+
+
 def fbm_cov(points, beta: float, include_zero: bool = False) -> np.ndarray:
     """Fractional-noise covariance ``|x|^b + |y|^b - |x-y|^b`` on a grid.
 
-    ``beta`` must lie in (0, 2) and ``points`` must be strictly increasing
-    and nonnegative; the point 0 produces a zero row/column and is rejected
-    unless ``include_zero`` is set.  ``beta = 1`` gives exactly twice the
-    running-minimum covariance.
+    ``beta`` must lie in (0, 2) and ``points`` must be finite, strictly
+    increasing and nonnegative; the point 0 produces a zero row/column and
+    is rejected unless ``include_zero`` is set.  ``beta = 1`` gives exactly
+    twice the running-minimum covariance.
     """
     if not 0.0 < beta < 2.0:
         raise BetaOutOfRangeError(f"beta must lie in (0, 2), got {beta}")
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("points must be a nonempty 1-d sequence")
+    _require_finite(x, "grid points")
     if x.min() < 0.0:
         raise NonPositivePointError("grid points must be nonnegative")
     if x.max() <= 0.0:
@@ -84,11 +91,12 @@ def fbm_cov(points, beta: float, include_zero: bool = False) -> np.ndarray:
 def brownian_cov(points) -> np.ndarray:
     """Running-minimum covariance ``G[i, j] = min(x_i, x_j)``.
 
-    Points must be strictly positive and strictly increasing.
+    Points must be finite, strictly positive and strictly increasing.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("points must be a nonempty 1-d sequence")
+    _require_finite(x, "grid points")
     if x.min() <= 0.0:
         raise NonPositivePointError("grid points must be strictly positive")
     if x.size > 1 and not (np.diff(x) > 0).all():
@@ -99,12 +107,13 @@ def brownian_cov(points) -> np.ndarray:
 def sheet_cov(points) -> np.ndarray:
     """Two-parameter covariance ``min(x, x') * min(s, s')``.
 
-    ``points`` is a sequence of ``(x, s)`` pairs with positive coordinates
-    and no exact duplicates.
+    ``points`` is a sequence of ``(x, s)`` pairs with finite positive
+    coordinates and no exact duplicates.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty sequence of (x, s) pairs")
+    _require_finite(pts, "sheet coordinates")
     if pts.min() <= 0.0:
         raise NonPositivePointError("sheet coordinates must be strictly positive")
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
@@ -148,7 +157,7 @@ def random_green(n: int, seed, symmetric: bool = True):
 
 
 def scale_conjugate(G, d) -> np.ndarray:
-    """Diagonal conjugation ``diag(d) G diag(d)`` with ``d > 0``.
+    """Diagonal conjugation ``diag(d) G diag(d)`` with finite ``d > 0``.
 
     Preserves the infinite-divisibility verdict of the squared vector but
     generally not the Green-matrix classification.
@@ -157,6 +166,7 @@ def scale_conjugate(G, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (G.shape[0],):
         raise ValueError(f"scaling has shape {d.shape}, expected ({G.shape[0]},)")
+    _require_finite(d, "scaling entries")
     if d.min() <= 0.0:
         raise NonPositiveScaleError("scaling entries must be strictly positive")
     return d[:, None] * G * d[None, :]

@@ -611,6 +611,22 @@ class TestCmdZoo:
         assert main(["zoo", "--family", "fbm"]) == 1
         assert main(["zoo", "--family", "sheet"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "brownian", "--grid", "1,inf"], "grid points must be finite, got inf"),
+        (["--family", "fbm", "--grid", "nan", "--beta", "0.5"],
+         "grid points must be finite, got nan"),
+        (["--family", "brownian", "--grid", "1,2", "--scale", "1,inf"],
+         "scaling entries must be finite, got inf"),
+        (["--family", "sheet", "--points", "1,2;3,1e400"],
+         "sheet coordinates must be finite, got inf"),
+    ])
+    def test_non_finite_input_is_input_error(self, tmp_path, capsys, argv, message):
+        # NaN or Inf would otherwise reach the report as non-JSON tokens.
+        out = tmp_path / "m.json"
+        assert main(["zoo", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestCmdSweep:
     def test_dichotomy_summary(self, tmp_path):
