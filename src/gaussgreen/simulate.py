@@ -9,9 +9,7 @@ transform.  All estimators are deterministic functions of their seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
@@ -107,26 +105,21 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     """Guide table for inverse-CDF draws from the rows of ``cum``.
 
     ``cum`` is ``(n, M)`` with ``M`` a power of two and nondecreasing rows
-    whose last entry exceeds every uniform.  Entry ``s * M + b`` belongs to
-    the bucket ``[b / M, (b + 1) / M)`` of row ``s`` and holds the flat
-    index ``g`` into ``cum`` of the first column with ``cum[s, j] > b / M``
-    (Chen & Asau 1974; Devroye 1986, §III.2).  With ``M`` a power of two,
-    ``b = floor(r * M)`` gives ``b / M <= r`` exactly, so no column before
-    ``g`` is the first ``j`` with ``r < cum[s, j]``.  When
-    ``cum[s, g] >= (b + 1) / M``, column ``g`` is that ``j`` for every
-    ``r`` in the bucket and the entry is ``g``; otherwise a boundary of the
-    row lies inside the bucket, a forward walk from ``g`` finds ``j``, and
-    the entry is ``~g`` (negative).  At most ``n`` of a row's ``M``
-    buckets need the walk, and its expected length is at most ``n / M``.
+    whose last entry exceeds every uniform.  ``guide[s * M + b]`` is the
+    flat index into ``cum`` of the first column ``j`` with
+    ``cum[s, j] > b / M`` (Chen & Asau 1974; Devroye 1986, §III.2).  With
+    ``M`` a power of two, ``b = floor(r * M)`` gives ``b / M <= r`` exactly:
+    no column before the entry is the first ``j`` with ``r < cum[s, j]``,
+    and a forward walk from the entry finds it.  At most ``n`` of a row's
+    ``M`` buckets hold a boundary of the row, so the expected walk is at
+    most ``n / M`` columns long.
     """
     n, M = cum.shape
     edges = np.arange(M) / M
     guide = np.empty((n, M), dtype=np.intp)
     for s in range(n):
         guide[s] = np.searchsorted(cum[s], edges, side="right")
-    walk = np.take_along_axis(cum, guide, axis=1) < edges + 1.0 / M
     guide += M * np.arange(n, dtype=np.intp)[:, None]
-    guide[walk] = ~guide[walk]
     return guide.ravel()
 
 
@@ -135,29 +128,21 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
 # than _GUIDE_ENTRIES entries (2 MiB each for cum and guide), but never
 # below 2^bitlen(n).  On the verify_mc benchmark chains (n = 3-30, seed 1,
 # 10 000 paths), the share of draws that walk past their bucket's entry is
-# 11-43 % at 1x, 3.7-12 % at 4x, 1.5-6 % at 8x and 0.8-3 % at 16x, which
-# doubles the table again to halve a walk share that is already small.  A
-# 30-state chain gets 256-bucket rows; the budget binds from n = 129.
+# 11-43 % at 1x, 3.7-12 % at 4x, 1.5-6 % at 8x and 0.8-3 % at 16x.  16x
+# would double the table to halve a walk share that is already small, so
+# 8x.  A 30-state chain gets 256-bucket rows; the budget binds from n = 129.
 _GUIDE_FACTOR = 8
 _GUIDE_ENTRIES = 1 << 18
-
-# A group with at most this many surviving paths finishes them start by
-# start in a scalar loop (_finish_paths), where each vectorized step would
-# pay a dozen numpy calls for a few dozen draws.  On Brownian motion on
-# 1..30 (groups of three starts, 10 000 paths each, one run) the last
-# paths took 0.30 s in the loop against 0.72 s in vectorized steps, and
-# 0.67 against 1.13 s with sojourns.  On the short paths of the verify_mc
-# chains the two cost about the same: 1-20 ms per op either way.
-_TAIL_PATHS = 48
 
 # Tally cells (start states x paths x states) simulated together: 2^20
 # cells, 4 MiB of int32 or 8 MiB of float64 tallies.  A chain whose tallies
 # fit runs as one group; a larger one runs in the fewest groups that fit,
 # each as many start states as fit, and always at least one.  On a 2-vCPU
 # Xeon VM with one BLAS thread, the verify_mc benchmark (10 000 paths per
-# start) peaks at 66.1-66.3 MB resident at this budget (seeds 1 and 7), against
-# 68.4-68.9 MB at 2^16 cells; 2^21 and 2^22 cells ran it no faster and
-# peaked at 84.9 and 115.4 MB, over the benchmark's 5 % memory bound.
+# start) peaks at 65.6-65.7 MB resident at this budget (seeds 1 and 7, ten
+# runs each), against 68.4-68.9 MB at 2^16 cells; 2^21 and 2^22 cells ran
+# it no faster and peaked at 84.9 and 115.4 MB, over the benchmark's 5 %
+# memory bound.
 _GROUP_CELLS = 1 << 20
 
 
@@ -184,31 +169,6 @@ def _per_start(rngs, rows, edges, draw) -> np.ndarray:
     return out
 
 
-def _finish_paths(rng, at, now, steps, cum_rows, scale, hits, times) -> int:
-    """Run one start's surviving paths for up to ``steps`` more steps, in Python.
-
-    ``at`` holds each path's flat tally offset and ``now`` its state, in
-    path order.  The draws are those of a vectorized step: one uniform per
-    path in path order, then, when ``times`` is a list, one sojourn per
-    path that jumped.  Appends each visit's flat tally index to ``hits``
-    (and its sojourn to ``times``) and returns the number of paths alive
-    after the last step.
-    """
-    n = len(cum_rows)
-    for _ in range(steps):
-        if not at:
-            break
-        u = rng.random(len(at)).tolist()
-        # First j with u < cum[s, j]; j == n is the cemetery.
-        jumps = [bisect_right(cum_rows[s], x) for s, x in zip(now, u)]
-        at = [a for a, j in zip(at, jumps) if j < n]
-        now = [j for j in jumps if j < n]
-        hits.extend(map(add, at, now))
-        if times is not None and at:
-            times.extend((rng.standard_exponential(len(at)) * scale).tolist())
-    return len(at)
-
-
 def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> SimReport:
     """Visit counts (or occupation times) per start state, one RNG stream each.
 
@@ -217,9 +177,8 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
     draws only from child ``s`` of ``SeedSequence(seed)``: per step, one
     uniform per surviving path in path order, then (occupation times) one
     exponential sojourn per path that jumped.  Start states are simulated
-    in groups, and a group's last few paths in a scalar loop; neither
-    changes any stream, so every report is as it would be one start and
-    one path at a time.
+    in groups, which leaves every stream, and so every report, as it would
+    be one start at a time.
     """
     rho = validate_chain(chain)
     if n_paths < 1:
@@ -236,8 +195,8 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
     guide = _guide_table(cum)
     # Uniforms are scaled by M in place and compared with cum * M: both
     # products are exact, since M is a power of two.
-    cum_M = (cum * M).ravel()
-    cum_rows = cum[:, :n].tolist()
+    cum *= M
+    cum_flat = cum.ravel()
     cap = _max_steps(rho)
     scale = 1.0 / chain.c
 
@@ -269,45 +228,31 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
             flat[rows + states] = _per_start(rngs, rows, edges, sojourns)
         else:
             flat[rows + states] = 1
-        step = 0
-        while step < cap and rows.size > _TAIL_PATHS:
-            step += 1
+        for _ in range(cap):
+            if rows.size == 0:
+                break
             r = _per_start(rngs, rows, edges, uniforms)
             r *= M
-            # First j with r < cum[state, j]: the guide entry, and for the
-            # few draws in a bucket with a boundary inside, a walk that
-            # stops inside the row, at the latest on its inf column.
+            # First j with r < cum[state, j]: the guide entry, then a walk
+            # that stops inside the row, at the latest on its inf column.
             pos = r.astype(np.intp)
             states *= M
             pos += states
             pos = guide[pos]
-            walk = (pos < 0).nonzero()[0]
-            if walk.size:
-                at, rw = ~pos[walk], r[walk]
-                ahead = (rw >= cum_M[at]).nonzero()[0]
-                while ahead.size:
-                    at[ahead] += 1
-                    ahead = ahead[rw[ahead] >= cum_M[at[ahead]]]
-                pos[walk] = at
+            ahead = (r >= cum_flat[pos]).nonzero()[0]
+            while ahead.size:
+                pos[ahead] += 1
+                ahead = ahead[r[ahead] >= cum_flat[pos[ahead]]]
             pos &= M - 1
             alive = pos < n
             rows, states = rows[alive], pos[alive]
+            if rows.size == 0:
+                break
             if weigh_sojourns:
                 np.add.at(flat, rows + states, _per_start(rngs, rows, edges, sojourns))
             else:
                 np.add.at(flat, rows + states, one)
-        # The scalar tail: each start's survivors for the steps left.
-        bounds = np.searchsorted(rows, edges).tolist()
-        hits: list[int] = []
-        times = [] if weigh_sojourns else None
-        for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
-            overflow += _finish_paths(rng, rows[lo:hi].tolist(), states[lo:hi].tolist(),
-                                      cap - step, cum_rows, scale, hits, times)
-        if hits:
-            # np.add.at adds in list order, so each cell sums its sojourns
-            # in step order, as the vectorized steps do.
-            np.add.at(flat, np.array(hits, dtype=np.intp),
-                      one if times is None else np.array(times))
+        overflow += int(rows.size)
         # np.mean and np.std(ddof=1), step for step and in their axis-0
         # summation order, from one float64 buffer per start: a copy of the
         # visit counts, or the occupation times themselves.  The counts'

@@ -439,23 +439,14 @@ class TestMatchesReferenceLoop:
         chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=0.7)
         _assert_matches_reference(chain, n_paths, 19)
 
-    @pytest.mark.parametrize("factor", [1, None])
-    @pytest.mark.parametrize("tail", [0, None, 10**9])
-    def test_tail_and_guide_width(self, monkeypatch, tail, factor):
-        # A tail of 0 keeps every step vectorized, the default finishes each
-        # group's last few paths in the scalar loop, and 10**9 runs every
-        # path in it.  A factor of 1 gives rows of 2^bitlen(n) buckets, so
-        # more draws walk; None keeps the default wide rows.  Both chains
-        # start with thousands of paths per group, so the vectorized steps
-        # run before the tail.
+    def test_narrowest_guide_rows(self, monkeypatch):
+        # Rows of 2^bitlen(n) buckets, the width the entry budget leaves a
+        # large chain, put more boundaries inside buckets, so more draws walk.
         from gaussgreen.decomposition import decompose
         from gaussgreen.kernels import brownian_cov
         from helpers import random_substochastic
 
-        if tail is not None:
-            monkeypatch.setattr(simulate, "_TAIL_PATHS", tail)
-        if factor is not None:
-            monkeypatch.setattr(simulate, "_GUIDE_FACTOR", factor)
+        monkeypatch.setattr(simulate, "_GUIDE_FACTOR", 1)
         # Nearest-neighbour jumps: flat runs in cum and roundoff entries.
         dec = decompose(brownian_cov(np.arange(1.0, 11.0)))
         _assert_matches_reference(ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c), 500, 13)
@@ -463,19 +454,6 @@ class TestMatchesReferenceLoop:
         T = random_substochastic(8, rng)
         T[rng.random((8, 8)) < 0.4] = 0.0
         _assert_matches_reference(ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=1.3), 300, 21)
-
-    @pytest.mark.parametrize("tail", [None, 10**9])
-    def test_overflow_in_the_tail(self, monkeypatch, tail):
-        # The cap of 44 steps leaves about 3000 * 0.9^44 = 29 paths alive:
-        # with the default tail the last steps run in the scalar loop, and
-        # its survivors are the overflow.
-        if tail is not None:
-            monkeypatch.setattr(simulate, "_TAIL_PATHS", tail)
-        monkeypatch.setattr(simulate, "_PATH_TAIL", 1e-2)
-        chain = ChainSpec(T=np.array([[0.9]]), kappa=np.array([0.1]))
-        assert simulate_green(chain, n_paths=3000, seed=11).overflow > 0
-        _assert_matches_reference(chain, 3000, 11)
-        _assert_matches_reference(CHAIN_2x2, 3000, 12)
 
 
 @pytest.mark.parametrize("n, width", [(1, 16), (10, 128), (30, 256), (128, 2048),
@@ -486,12 +464,11 @@ def test_guide_width(n, width):
     assert simulate._guide_width(n) == width
 
 
-
 def test_guide_table_resolves_bucket_edges():
     # Uniforms on a bucket's lower edge and just below its upper edge, with
-    # cumulative rows that hit edges exactly and hold flat runs: a
-    # nonnegative entry is the first j with r < cum[s, j] itself, and a
-    # complemented one starts a walk that reaches it.
+    # cumulative rows that hit edges exactly and hold flat runs: the entry
+    # is never past the first j with r < cum[s, j], and every column from
+    # the entry up to that j is at most r, so a forward walk reaches it.
     T = np.array([[0.25, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0],
                   [0.125, 0.125, 0.125, 0.3], [0.0, 0.0, 0.0, 0.0]])
     n = T.shape[0]
@@ -499,13 +476,9 @@ def test_guide_table_resolves_bucket_edges():
     cum = np.full((n, M), np.inf)
     np.cumsum(T, axis=1, out=cum[:, :n])
     guide = simulate._guide_table(cum)
-    assert (guide < 0).any() and (guide >= 0).any()
     for s in range(n):
         for b in range(M):
-            entry = guide[s * M + b]
-            g = (entry if entry >= 0 else ~entry) - s * M
+            g = guide[s * M + b] - s * M
             for r in (b / M, np.nextafter((b + 1) / M, 0.0)):
                 j = int(np.argmax(r < cum[s]))
                 assert g <= j and (cum[s, g:j] <= r).all()
-                if entry >= 0:
-                    assert g == j
