@@ -57,8 +57,7 @@ from .linalg import (
 from .simulate import (
     ChainSpec,
     InvalidChainError,
-    laplace_exact,
-    laplace_mc,
+    laplace,
     simulate_ct_green,
     simulate_green,
 )
@@ -155,6 +154,8 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
         raise ParseError(f"{path}: entries are {M.shape}, not square")
     if "n" in doc:
         declared = doc["n"]
+        if isinstance(declared, bool):
+            raise ParseError(f"{path}: n must be an integer, got {declared!r}")
         try:
             n = int(declared)
         except (TypeError, ValueError, OverflowError) as err:
@@ -346,19 +347,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_laplace(args) -> int:
-    if args.samples < 0:
-        raise ParseError(f"--samples must be nonnegative, got {args.samples}")
     G = load_matrix(args.input, args.format)
     try:
         t = np.asarray([float(v) for v in args.t.split(",")], dtype=float)
     except ValueError as err:
         raise ParseError(f"bad --t: {err}") from err
-    exact = laplace_exact(G, t)
+    exact, mc = laplace(G, t, n_samples=args.samples, seed=args.seed)
     doc = _meta("laplace/1")
     doc.update({"command": "laplace", "t": t.tolist(), "exact": exact})
-    if args.samples > 0:
-        mc = laplace_mc(G, t, n_samples=args.samples, seed=args.seed)
-        sigma = abs(mc.estimate - exact) / mc.stderr if mc.stderr > 0 else 0.0
+    if mc is not None:
+        gap = abs(mc.estimate - exact)
+        # stderr 0 (one sample, or all values equal) gives no count for a gap.
+        sigma = gap / mc.stderr if mc.stderr > 0 else (None if gap else 0.0)
         doc["mc"] = mc.to_dict()
         doc["sigmas_from_exact"] = sigma
     write_report(doc, args.out)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,32 @@ class TestCmdLaplace:
         doc = json.loads(out.read_text())
         assert doc["sigmas_from_exact"] < 3.0
 
+    def test_one_sample_off_exact_has_no_sigma_count(self, tmp_path):
+        path = tmp_path / "eye.csv"
+        write_csv(path, np.eye(2))
+        out = tmp_path / "lap.json"
+        argv = ["laplace", "--input", str(path), "--out", str(out)]
+        assert main(argv + ["--t", "1,1", "--samples", "1"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mc"]["stderr"] == 0.0 and doc["mc"]["estimate"] != doc["exact"]
+        assert doc["sigmas_from_exact"] is None
+        # Zero rates make every value 1, equal to exact: 0 sigmas.
+        assert main(argv + ["--t", "0,0", "--samples", "1"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mc"]["estimate"] == doc["exact"] == 1.0
+        assert doc["sigmas_from_exact"] == 0.0
+
+    def test_overflowing_rates_write_valid_json(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_csv(path, [[1e10, 1e9], [1e9, 1e10]])
+        out = tmp_path / "lap.json"
+        for samples in ("0", "100"):
+            assert main(["laplace", "--input", str(path), "--t", "1e300,1e300",
+                         "--samples", samples, "--out", str(out)]) == 0
+            # NaN or Infinity in the report is not JSON: fail on either.
+            doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert math.isfinite(doc["exact"]) and 0.0 <= doc["exact"] <= 1.0
+
     def test_bad_rates_is_input_error(self, min_kernel_csv):
         assert main(["laplace", "--input", str(min_kernel_csv), "--t", "1,x"]) == 1
         assert main(["laplace", "--input", str(min_kernel_csv), "--t=-1,0,0"]) == 1
@@ -315,16 +342,26 @@ class TestExitCodes:
         out = tmp_path / "lap.json"
         argv = ["laplace", "--input", str(min_kernel_csv), "--t", "1,1,1", "--out", str(out)]
         assert main(argv + ["--samples", "-5"]) == 1
-        assert capsys.readouterr().err == "error: --samples must be nonnegative, got -5\n"
+        assert capsys.readouterr().err == "error: n_samples must be nonnegative, got -5\n"
         assert not out.exists()
         assert main(argv + ["--samples", "0"]) == 0
         assert "mc" not in json.loads(out.read_text())
 
     def test_nonpositive_laplace_determinant_is_input_error(self, tmp_path, capsys):
+        # det(I + G diag(t)) is -5 for the first G and 1.17 for the second:
+        # neither G is a covariance, with or without samples.
         path = tmp_path / "indef.csv"
-        write_csv(path, [[1.0, 3.0], [3.0, 1.0]])
-        assert main(["laplace", "--input", str(path), "--t", "1,1"]) == 1
-        assert "det(I + G diag(t)) = -5" in capsys.readouterr().err
+        out = tmp_path / "lap.json"
+        for G, t, pivot in [([[1.0, 3.0], [3.0, 1.0]], "1,1", "-8.000e+00"),
+                            ([[1.0, 2.0], [2.0, 1.0]], "0.1,0.1", "-3.000e+00")]:
+            write_csv(path, G)
+            for samples in ("0", "10"):
+                assert main(["laplace", "--input", str(path), "--t", t,
+                             "--samples", samples, "--out", str(out)]) == 1
+                assert capsys.readouterr().err == (
+                    "error: input matrix is not positive definite "
+                    f"(matrix is not positive definite: pivot 1 is {pivot})\n")
+                assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--input", "c.json", "--eps", "0.3"],

@@ -172,7 +172,7 @@ class TestJsonDeclaredN:
         return str(path)
 
     @pytest.mark.parametrize("n", ["null", "[2]", "{}", "2.5", "NaN", "Infinity",
-                                   '"two"'])
+                                   '"two"', "true", "false"])
     def test_malformed_n_is_parse_error(self, tmp_path, n):
         path = self.write(tmp_path, '{"entries": [[1.0, 0.0], [0.0, 1.0]], "n": %s}' % n)
         with pytest.raises(ParseError, match="n must be an integer"):
@@ -195,6 +195,8 @@ MALFORMED_JSON = {
     "n_object": '{"entries": [[1.0]], "n": {"k": 1}}',
     "n_fraction": '{"entries": [[1.0, 0.0], [0.0, 1.0]], "n": 2.5}',
     "n_infinite": '{"entries": [[1.0]], "n": Infinity}',
+    "n_true": '{"entries": [[2.0]], "n": true}',
+    "n_false": '{"entries": [[2.0]], "n": false}',
     "huge_integer_entry": '{"entries": [[1%s]]}' % ("0" * 400),
     "deep_nesting": "[" * 100_000 + "]" * 100_000,
 }

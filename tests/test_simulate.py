@@ -8,9 +8,7 @@ from gaussgreen.linalg import NotPositiveDefiniteError
 from gaussgreen.simulate import (
     ChainSpec,
     InvalidChainError,
-    laplace_exact,
-    laplace_mc,
-    sample_gaussian,
+    laplace,
     simulate_ct_green,
     simulate_green,
     validate_chain,
@@ -145,51 +143,50 @@ class TestSimulateCtGreen:
         assert float(sigma.max()) < 3.0
 
 
-class TestSampleGaussian:
-    def test_identity_empirical_covariance(self):
-        x = sample_gaussian(np.eye(2), 100_000, seed=1)
-        emp = x.T @ x / x.shape[0]
-        assert np.abs(emp - np.eye(2)).max() < 0.02
-
-    def test_scalar_variance(self):
-        x = sample_gaussian(np.array([[4.0]]), 50_000, seed=2)
-        assert float(x.var()) == pytest.approx(4.0, rel=0.05)
-
-    def test_min_kernel_has_independent_increments(self):
-        x = sample_gaussian(MIN_KERNEL, 100_000, seed=3)
-        inc = np.column_stack([x[:, 0], x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]])
-        emp = inc.T @ inc / inc.shape[0]
-        assert np.abs(emp - np.eye(3)).max() < 5.0 / np.sqrt(inc.shape[0]) * 3.0
-
-    def test_empirical_covariance_bound(self):
-        G = MIN_KERNEL
-        x = sample_gaussian(G, 100_000, seed=4)
-        emp = x.T @ x / x.shape[0]
-        assert np.abs(emp - G).max() <= 5.0 * np.abs(G).max() / np.sqrt(x.shape[0])
-
-    def test_not_pd_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            sample_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, seed=0)
+def exact_only(G, t):
+    """``laplace`` without samples: the exact value alone."""
+    exact, mc = laplace(G, t)
+    assert mc is None
+    return exact
 
 
 class TestLaplaceExact:
     def test_identity_two_dim(self):
-        assert laplace_exact(np.eye(2), [1.0, 1.0]) == pytest.approx(0.5)
+        assert exact_only(np.eye(2), [1.0, 1.0]) == pytest.approx(0.5)
 
     def test_zero_rates_give_one(self):
-        assert laplace_exact(MIN_KERNEL, np.zeros(3)) == pytest.approx(1.0)
+        assert exact_only(MIN_KERNEL, np.zeros(3)) == pytest.approx(1.0)
 
     def test_scalar(self):
-        assert laplace_exact(np.array([[2.0]]), [0.5]) == pytest.approx(2.0 ** -0.5)
+        assert exact_only(np.array([[2.0]]), [0.5]) == pytest.approx(2.0 ** -0.5)
 
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            laplace_exact(np.eye(2), [-0.1, 1.0])
+            exact_only(np.eye(2), [-0.1, 1.0])
 
     def test_nonpositive_determinant_rejected(self):
         # det(I + G) = det([[2, 3], [3, 2]]) = -5: G is not a covariance
-        with pytest.raises(ValueError, match=r"det\(I \+ G diag\(t\)\) = -5 "):
-            laplace_exact(np.array([[1.0, 3.0], [3.0, 1.0]]), [1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1"):
+            exact_only(np.array([[1.0, 3.0], [3.0, 1.0]]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n_samples", [0, 10])
+    @pytest.mark.parametrize("G", [
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite, though det(I + G diag(t)) = 1.17
+        [[1.0, 1.0], [1.0, 1.0]],  # singular semidefinite: det(I + G diag(t)) = 1.2
+        [[1e-13, 0.0], [0.0, 1e-13]],  # definite, but below the pivot floor
+    ], ids=["indefinite", "singular", "tiny"])
+    def test_not_positive_definite_rejected_with_or_without_samples(self, G, n_samples):
+        with pytest.raises(NotPositiveDefiniteError):
+            laplace(np.array(G), [0.1, 0.1], n_samples, seed=0)
+
+    def test_overflowing_rates_give_a_tiny_value(self):
+        G = np.array([[1e10, 1e9], [1e9, 1e10]])
+        # det(I + G diag(t)) = t0 t1 det(G) + t0 G00 + t1 G11 + 1 is past the
+        # float range, yet its inverse square root (subnormal in the first
+        # case) is returned, not 0 or NaN.
+        for t, want in [([1e300, 1e300], 1e-300 / np.sqrt(99e18)),
+                        ([1e300, 0.0], 1e-155), ([0.0, 1e300], 1e-155)]:
+            assert exact_only(G, t) == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -197,7 +194,7 @@ class TestLaplaceExact:
             n = int(rng.integers(1, 6))
             G = random_spd(n, rng)
             t = rng.uniform(0.0, 3.0, size=n)
-            v = laplace_exact(G, t)
+            v = exact_only(G, t)
             assert 0.0 < v <= 1.0
 
     def test_determinant_self_check(self):
@@ -206,7 +203,7 @@ class TestLaplaceExact:
             n = int(rng.integers(1, 7))
             G = random_spd(n, rng)
             t = rng.uniform(0.0, 2.0, size=n)
-            psi = laplace_exact(G, t)
+            psi = exact_only(G, t)
             det = np.linalg.det(np.eye(n) + G * t[None, :])
             assert abs(psi * psi * det - 1.0) < 1e-12
 
@@ -218,7 +215,7 @@ class TestLaplaceExact:
         G = random_spd(n, rng)
         t = rng.uniform(0.0, 2.0, size=n)
         bump = rng.uniform(0.0, 1.0, size=n)
-        assert laplace_exact(G, t) >= laplace_exact(G, t + bump) - 1e-12
+        assert exact_only(G, t) >= exact_only(G, t + bump) - 1e-12
 
 
 @pytest.mark.parametrize("t, match", [
@@ -229,32 +226,38 @@ class TestLaplaceExact:
     ([-0.1, 1.0], "nonnegative"),
 ])
 def test_laplace_rates_rejected_alike(t, match):
-    with pytest.raises(ValueError, match=match):
-        laplace_exact(np.eye(2), t)
-    with pytest.raises(ValueError, match=match):
-        laplace_mc(np.eye(2), t, n_samples=10, seed=0)
+    for n_samples in (0, 10):
+        with pytest.raises(ValueError, match=match):
+            laplace(np.eye(2), t, n_samples=n_samples, seed=0)
 
 
 class TestLaplaceMc:
     def test_zero_rates_exact(self):
-        report = laplace_mc(MIN_KERNEL, np.zeros(3), n_samples=1000, seed=1)
-        assert report.estimate == 1.0
+        exact, report = laplace(MIN_KERNEL, np.zeros(3), n_samples=1000, seed=1)
+        assert exact == report.estimate == 1.0
         assert report.stderr == 0.0
 
     def test_identity_matches_half(self):
-        report = laplace_mc(np.eye(2), [1.0, 1.0], n_samples=200_000, seed=8)
+        _, report = laplace(np.eye(2), [1.0, 1.0], n_samples=200_000, seed=8)
         assert abs(report.estimate - 0.5) < 3.0 * report.stderr
 
     def test_min_kernel_matches_exact(self):
         t = np.array([1.0, 0.5, 0.25])
-        exact = laplace_exact(MIN_KERNEL, t)
-        report = laplace_mc(MIN_KERNEL, t, n_samples=200_000, seed=9)
+        exact, report = laplace(MIN_KERNEL, t, n_samples=200_000, seed=9)
         assert abs(report.estimate - exact) < 3.0 * report.stderr
 
     def test_deterministic(self):
-        a = laplace_mc(np.eye(2), [1.0, 2.0], n_samples=1000, seed=5)
-        b = laplace_mc(np.eye(2), [1.0, 2.0], n_samples=1000, seed=5)
+        a = laplace(np.eye(2), [1.0, 2.0], n_samples=1000, seed=5)[1]
+        b = laplace(np.eye(2), [1.0, 2.0], n_samples=1000, seed=5)[1]
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    def test_samples_come_from_the_cholesky_factor(self):
+        G, t = MIN_KERNEL, np.array([1.0, 0.5, 0.25])
+        x = np.random.default_rng(4).standard_normal((500, 3)) @ np.linalg.cholesky(G).T
+        values = np.exp(-0.5 * (x**2) @ t)
+        _, report = laplace(G, t, n_samples=500, seed=4)
+        assert report.estimate == float(values.mean())
+        assert report.stderr == float(values.std(ddof=1) / np.sqrt(500))
 
 
 def _visit_moments(g, c, ct):
@@ -303,7 +306,7 @@ def test_stderr_matches_exact_second_moments(ct):
 
 
 def test_report_to_dict_excludes_timing_by_default():
-    report = laplace_mc(np.eye(2), [1.0, 1.0], n_samples=100, seed=0)
+    _, report = laplace(np.eye(2), [1.0, 1.0], n_samples=100, seed=0)
     doc = report.to_dict()
     assert "elapsed" not in doc
     assert doc["n_draws"] == 100 and doc["seed"] == 0
