@@ -260,7 +260,7 @@ def cmd_check(args) -> int:
     margins = dict(cls.verdict.margins)
     if cls.row_sums is not None:
         margins["min_row_sum"] = float(cls.row_sums.min())
-    doc = _meta("check/1", tol)
+    doc = _meta("check/2", tol)
     doc.update(
         {
             "command": "check",

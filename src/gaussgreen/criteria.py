@@ -11,8 +11,8 @@ This module certifies or refutes that property with explicit witnesses:
   scaled: a Z-matrix with ``u > 0`` and ``A u > 0`` beyond rounding is a
   nonsingular M-matrix, and the Collatz–Wielandt ratios ``(B u)_i / u_i``
   enclose ``rho(B)``; a ``u_i <= 0`` is the witness against it.  The same
-  bracket, fed ``u = S G S 𝟙``, certifies :func:`is_id_square` and scales
-  the killed chain of :mod:`gaussgreen.decomposition`.
+  bracket, fed ``u = S C S 𝟙`` for the correlation matrix ``C`` of ``G``,
+  certifies :func:`is_id_square`.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle / entry witness.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class MMatrixCert:
     vector ``u`` with ``A u > 0`` beyond rounding, and the bracket
     ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
     :func:`is_m_matrix` gives ``u ≈ A⁻¹ diag(A)``; :func:`is_id_square`
-    gives the chain scaling ``u = S G S 𝟙``, so there ``A u = 𝟙``.
+    certifies ``A = S C⁻¹ S`` with ``u = S C S 𝟙``, so there ``A u = 𝟙``.
     """
 
     c: float
@@ -120,11 +121,11 @@ class NoSignature:
 
     ``reason == "cycle"``: the sign constraints along ``cycle`` (a closed
     node path in the off-diagonal graph of ``G⁻¹``) are inconsistent;
-    ``index`` points at the largest positive off-diagonal entry of ``G⁻¹``
-    on that cycle, the entry no signature can remove.
+    ``index`` points at the largest positive off-diagonal entry of ``C⁻¹``
+    on that cycle, ``(G⁻¹)_ij sqrt(G_ii G_jj)``, which no signature removes.
 
-    ``reason == "entry"``: the propagated signature left a conjugated
-    covariance entry at ``index`` below the zero band.
+    ``reason == "entry"``: the propagated signature left an entry of
+    ``S C S`` at ``index`` below the zero band.
     """
 
     reason: str
@@ -151,7 +152,7 @@ class GreenClassification:
     ``kind`` is ``"green"`` (the inverse is a row-sum dominant M-matrix as
     is), ``"id_not_green"`` (infinitely divisible square, but only after a
     sign flip or with dominance broken by scaling), or ``"not_id"``.  A
-    ``"green"`` verdict's ``cert`` certifies ``G⁻¹`` itself.
+    ``"green"`` verdict's ``cert`` certifies ``C⁻¹`` itself.
     """
 
     kind: str
@@ -241,11 +242,11 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     """Search for a sign vector making ``S G⁻¹ S`` off-diagonally nonpositive
     and ``S G S`` entrywise nonnegative.
 
-    The off-diagonal graph of ``A = G⁻¹`` forces ``s_i s_j = -sign(A_ij)``
-    along every edge; breadth-first propagation either assigns consistent
-    signs per connected component (free components get +1) or exhibits a
-    contradiction cycle.  A consistent assignment is then screened against
-    the conjugated covariance.
+    The off-diagonal graph of ``A = C⁻¹``, which has the signs of ``G⁻¹``,
+    forces ``s_i s_j = -sign(A_ij)`` along every edge; breadth-first
+    propagation either assigns consistent signs per connected component
+    (free components get +1) or exhibits a contradiction cycle.  A
+    consistent assignment is then screened against ``S C S``.
 
     Parameters
     ----------
@@ -259,7 +260,7 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     Signature or NoSignature
     """
     cov = covariance(G)
-    G, A = cov.G, cov.inverse
+    C, A = cov.C, cov.inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
 
@@ -301,8 +302,8 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
         components.append(tuple(comp))
 
     sig = Signature(signs=signs, components=tuple(components))
-    conjugated = sig.conjugate(G)
-    check = is_nonneg(conjugated, tol.zero_threshold(G))
+    conjugated = sig.conjugate(C)
+    check = is_nonneg(conjugated, tol.zero_threshold(C))
     if not check.ok:
         return NoSignature("entry", index=check.index, value=check.min_value)
     return sig
@@ -327,15 +328,15 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     """Decide whether the squared Gaussian vector with covariance ``G`` is
     infinitely divisible.
 
-    Composes :func:`find_signature` with the M-matrix certificate of the
-    conjugated inverse, whose own inverse is the conjugated covariance
-    ``S G S``; the verdict carries the winning signature plus certificate,
-    or the witness that defeated every signature, along with the numerical
-    margins the decision rested on.  A signature already makes the
-    off-diagonals of ``S G⁻¹ S`` nonpositive at the zero band
-    :func:`is_m_matrix` uses, and ``S G S`` nonnegative within its band, so
-    ``u = S G S 𝟙`` takes the place of that function's solve and only the
-    Collatz–Wielandt bracket of ``u`` is left to check.
+    Composes :func:`find_signature` with the M-matrix certificate of
+    ``S C⁻¹ S``, which has the signs of ``S G⁻¹ S`` and the inverse ``S C S``;
+    the verdict carries the winning signature plus certificate, or the
+    witness that defeated every signature, along with the unitless margins
+    the decision rested on.  A signature already makes the off-diagonals of
+    ``S C⁻¹ S`` nonpositive at the zero band :func:`is_m_matrix` uses, and
+    ``S C S`` nonnegative within its band, so ``u = S C S 𝟙`` takes the place
+    of that function's solve and only the Collatz–Wielandt bracket of ``u``
+    is left to check.
     """
     cov = covariance(G)
     sig = find_signature(cov, tol)
@@ -348,7 +349,7 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
         return IdVerdict(False, witness=sig, margins=margins)
 
     conj_inv = sig.conjugate(cov.inverse)
-    conj_cov = sig.conjugate(cov.G)
+    conj_cov = sig.conjugate(cov.C)
     result = _bracket(conj_inv, conj_cov.sum(axis=1))
     off = conj_inv.copy()
     np.fill_diagonal(off, -np.inf)
@@ -363,18 +364,25 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     return IdVerdict(True, signature=sig, cert=result, margins=margins)
 
 
+def _correlation_3x3(G, name) -> np.ndarray:
+    """``D G D`` with ``D = diag(G)^{-1/2}`` for a 3x3 covariance ``G``."""
+    G = as_covariance(G)
+    if G.shape != (3, 3) or G.diagonal().min() <= 0.0:
+        raise ValueError(f"{name} expects a 3x3 covariance, positive diagonal")
+    d = 1.0 / np.sqrt(G.diagonal())
+    return d[:, None] * G * d[None, :]
+
+
 def triple_necessary(G, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Necessary condition in dimension 3: the product of the three
     off-diagonal covariances must not be negative.
 
     A covariance with ``G12 * G23 * G31 < 0`` cannot have an infinitely
-    divisible square, whatever the diagonal.
+    divisible square, whatever the diagonal; it is tested on ``C = D G D``.
     """
-    G = as_covariance(G)
-    if G.shape != (3, 3):
-        raise ValueError("triple_necessary expects a 3x3 covariance")
-    product = float(G[0, 1] * G[1, 2] * G[2, 0])
-    return product >= -tol.zero_threshold(G)
+    C = _correlation_3x3(G, "triple_necessary")
+    product = float(C[0, 1] * C[1, 2] * C[2, 0])
+    return product >= -tol.zero_threshold(C)
 
 
 def triple_sufficient(G, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -383,18 +391,14 @@ def triple_sufficient(G, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     When it holds (and ``G`` is positive definite), every off-diagonal of
     ``G⁻¹`` is nonpositive, so the square is infinitely divisible with the
-    trivial signature.
+    trivial signature.  It is tested on ``C = D G D``, as the signs agree.
     """
-    G = as_covariance(G)
-    if G.shape != (3, 3):
-        raise ValueError("triple_sufficient expects a 3x3 covariance")
-    thr = tol.zero_threshold(G)
-    if G.min() < -thr:
+    C = _correlation_3x3(G, "triple_sufficient")
+    thr = tol.zero_threshold(C)
+    if C.min() < -thr:
         raise ValueError("triple_sufficient requires entrywise nonnegative G")
-    from itertools import permutations
-
     return all(
-        G[i, j] * G[k, k] - G[i, k] * G[j, k] >= -thr
+        C[i, j] * C[k, k] - C[i, k] * C[j, k] >= -thr
         for i, j, k in permutations(range(3), 3)
     )
 
@@ -406,17 +410,17 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     signature *and* has nonnegative row sums; then ``G`` itself is the
     visit-count matrix of a killed Markov chain.  Covariances with an
     infinitely divisible square that miss either extra condition are
-    ``id_not_green``.
+    ``id_not_green``.  ``row_sums = C⁻¹ d / max(d)`` has the signs of ``G⁻¹ 𝟙``.
     """
     cov = covariance(G)
     verdict = is_id_square(cov, tol)
     if not verdict.is_id:
         return GreenClassification("not_id", verdict)
 
-    row_sums = cov.inverse.sum(axis=1)
+    row_sums = cov.inverse @ (cov.d / cov.d.max())
     # A nontrivial signature can only arise from a positive off-diagonal of
-    # G^-1, which the direct M-matrix test would reject; with the trivial
-    # one the verdict's certificate is that of G^-1 itself.
+    # C^-1, which the direct M-matrix test would reject; with the trivial
+    # one the verdict's certificate is that of C^-1 itself.
     if not verdict.signature.is_trivial:
         return GreenClassification("id_not_green", verdict, row_sums)
     dominant = row_sums.min() >= -tol.zero_threshold(cov.inverse)

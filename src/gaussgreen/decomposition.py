@@ -6,12 +6,12 @@ Once ``S G S`` has an M-matrix inverse ``A = c I - B``, the positive vector
 strictly substochastic transition matrix, the killed chain it defines is
 transient, and its expected-visit-count matrix ``g = (I - T)⁻¹`` reproduces
 the covariance through ``c · D (S G S) D⁻¹ = g``.  This module builds that
-object from the M-matrix certificate of the verdict, which carries both the
-split ``c I - B`` and ``u``, with ``g`` in that closed form and no further
-inversion.  It verifies every identity it claims (``(I - T) g = I`` among
-them), and :func:`symmetric_green` derives from ``g`` and ``u`` the
-symmetric form ``g̃ = c · D (S G S) D`` together with the reference weights
-``μ = u²`` under which the visit kernel is in detailed balance.
+object from the verdict's signature and the inverse ``C⁻¹`` of the
+correlation matrix ``C = E G E``, ``E = diag(G)^{-1/2}``: ``A = S E C⁻¹ E S``,
+``c = max diag A``, and ``g`` in that closed form with no inversion.  It
+verifies every identity it claims (``(I - T) g = I`` among them), and
+:func:`symmetric_green` derives from ``g`` and ``u`` the symmetric form
+``g̃ = c · D (S G S) D`` with the weights ``μ = u²`` of detailed balance.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class GreenDecomposition:
     signature : Signature
         Sign flips applied first; ``Gp = S G S`` is entrywise nonnegative.
     u : ndarray
-        Positive scaling ``Gp @ 𝟙``, the certificate's ``u``; the conjugation
+        Positive scaling ``Gp @ 𝟙``, so ``Gp⁻¹ u = 𝟙``; the conjugation
         below uses ``D = diag(1/u)``.
     c : float
         Jump rate; ``Gp⁻¹ = c I - B`` with ``B >= 0``.
@@ -78,7 +78,7 @@ class GreenDecomposition:
     g : ndarray
         Expected visit counts ``(I - T)⁻¹``; equals ``c D Gp D⁻¹``.
     reconstruction_error : float
-        ``|reconstruct(self) - G|_max / max(1, |G|_max)`` for the input
+        ``|reconstruct(self) - G|_max / |G|_max`` for the input
         covariance ``G``, as checked when the decomposition was built.
     """
 
@@ -95,9 +95,7 @@ class GreenDecomposition:
         return self.T.shape[0]
 
 
-def decompose(
-    G, tol: Tolerances = DEFAULT_TOL, unit_scaling: bool = False
-) -> GreenDecomposition:
+def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     """Build the killed-chain decomposition of an ID covariance.
 
     Parameters
@@ -105,9 +103,6 @@ def decompose(
     G : array_like or Covariance
         Symmetric positive definite covariance with infinitely divisible
         square.
-    unit_scaling : bool
-        Force ``u = 𝟙`` (valid only when ``G⁻¹`` is row-sum dominant; then
-        row sums of ``T`` may touch 1 while the chain stays transient).
 
     Raises
     ------
@@ -127,15 +122,11 @@ def decompose(
 
     sig = verdict.signature
     Gp = sig.conjugate(cov.G)
-    # The certificate splits Gp⁻¹ = c I - B with Gp⁻¹ u = 𝟙.
-    c, B = verdict.cert.c, verdict.cert.B
-
-    if unit_scaling:
-        u = np.ones(Gp.shape[0])
-        T = B / c
-    else:
-        u = verdict.cert.u
-        T = B * u[None, :] / (c * u[:, None])
+    A = sig.conjugate(cov.d[:, None] * cov.inverse * cov.d[None, :])
+    c = float(A.diagonal().max())
+    B = c * np.eye(A.shape[0]) - A
+    u = Gp.sum(axis=1)
+    T = B * u[None, :] / (c * u[:, None])
     kappa = 1.0 - T.sum(axis=1)
     g = c * Gp * u[None, :] / u[:, None]
 
@@ -170,9 +161,7 @@ def _validate(dec: GreenDecomposition, G) -> float:
 
     symmetric_green(dec)
 
-    rel = float(np.abs(reconstruct(dec) - G).max()) / max(
-        1.0, float(np.abs(G).max())
-    )
+    rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
     if rel > 1e-9:
         raise NumericalFailureError(f"reconstruction error {rel:.3e}")
     return rel
@@ -201,7 +190,7 @@ def symmetric_green(dec: GreenDecomposition):
     mu = dec.u**2
     g_sym = dec.g / mu[None, :]
     gap = np.abs(g_sym - g_sym.T)
-    scale = max(1.0, float(np.abs(g_sym).max()))
+    scale = float(np.abs(g_sym).max())
     if float(gap.max()) > SYM_TOL * scale:
         index = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise SymmetryViolationError(tuple(int(v) for v in index), gap[index])

@@ -9,11 +9,11 @@ like ``1e-10 * max(1, |A|_max)``.  The zero band is the only tolerance a
 caller sets; the pivot floor :data:`EPS_PSD` and the symmetry slack
 :data:`SYM_TOL` are fixed constants of this module.
 
-Positive definiteness is certified by numpy's LAPACK Cholesky
-factorization with the pivot floor, and the inverse of a covariance comes
-from that same factor through a blocked triangular inverse.
-:func:`covariance` alone validates, factors and inverts a covariance, once
-for every later test and every zero band.  numpy is the only dependency.
+A covariance is decided on its correlation matrix ``C = D G D`` with
+``D = diag(G)^{-1/2}``, as ``C⁻¹ = D⁻¹ G⁻¹ D⁻¹`` has the signs of ``G⁻¹``.
+:func:`covariance` alone validates a covariance, factors it by LAPACK
+Cholesky with a pivot floor relative to the diagonal and inverts ``C`` from
+that factor, once for every later test and zero band; it needs only numpy.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SingularMatrixError(Exception):
         super().__init__(message or f"matrix is singular at pivot {index}")
 
 
-# Pivot floor for Cholesky: a pivot at or below it is not positive.
+# Pivot floor for Cholesky: pivot j at or below EPS_PSD * G_jj is not positive.
 EPS_PSD = 1e-12
 # Slack allowed between M[i, j] and M[j, i] for matrices declared symmetric.
 SYM_TOL = 1e-8
@@ -136,20 +136,26 @@ def as_covariance(G, name="covariance") -> np.ndarray:
 @dataclass(frozen=True)
 class Covariance:
     """A covariance checked by :func:`covariance`, which alone builds it, with
-    its exactly symmetric inverse."""
+    ``d = diag(G)^{-1/2}``, ``C = diag(d) G diag(d)`` and ``C⁻¹``."""
 
     G: np.ndarray
+    d: np.ndarray
+    C: np.ndarray
     inverse: np.ndarray
 
 
 def covariance(G) -> Covariance:
-    """``G`` checked by :func:`as_covariance`, with ``G⁻¹`` from the Cholesky
-    factor that certifies it positive definite.  No zero band enters here,
-    so a :class:`Covariance` is returned unchanged and serves every band."""
+    """``G`` checked by :func:`as_covariance`, with ``C⁻¹`` from ``diag(d) L``,
+    ``L`` the Cholesky factor that certifies ``G``; a :class:`Covariance` is
+    returned unchanged, as no zero band enters here and it serves every band."""
     if isinstance(G, Covariance):
         return G
     G = as_covariance(G)
-    return Covariance(G, invert(G, factor=_cholesky(G)))
+    L = _cholesky(G)
+    d = 1.0 / np.sqrt(G.diagonal())
+    C = d[:, None] * G * d[None, :]
+    L *= d[:, None]
+    return Covariance(G, d, C, invert(C, factor=L))
 
 
 def cholesky(G) -> np.ndarray:
@@ -164,8 +170,8 @@ def cholesky(G) -> np.ndarray:
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot is at most ``EPS_PSD``; the failing column index is the
-        first leading principal minor that is not positive.
+        If pivot ``j`` is at most ``EPS_PSD * G[j, j]``; the failing column
+        index is the first leading principal minor that is not positive.
     """
     return _cholesky(as_covariance(G))
 
@@ -176,7 +182,7 @@ def _cholesky(A) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         L = None
-    if L is not None and np.diag(L).min() ** 2 > EPS_PSD:
+    if L is not None and (np.diag(L) ** 2 > EPS_PSD * A.diagonal()).all():
         return L
     # LAPACK stops at the first nonpositive pivot without naming it and
     # does not apply the floor; the unblocked loop names the first pivot at
@@ -189,7 +195,7 @@ def _cholesky_unblocked(A) -> np.ndarray:
     L = np.zeros_like(A)
     for j in range(n):
         pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= EPS_PSD:
+        if pivot <= EPS_PSD * A[j, j]:
             raise NotPositiveDefiniteError(j, pivot)
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:

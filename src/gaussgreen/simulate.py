@@ -364,6 +364,7 @@ def laplace_mc(L: np.ndarray, t: np.ndarray, n_samples: int, seed) -> SimReport:
     public name so that the benchmark times it as its own layer function.
     """
     x = np.random.default_rng(seed).standard_normal((int(n_samples), L.shape[0])) @ L.T
-    values = np.exp(-0.5 * (x**2) @ t)
+    with np.errstate(over="ignore"):  # an infinite exponent gives exp(-inf) = 0
+        values = np.exp(-0.5 * (x**2) @ t)
     stderr = float(values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return SimReport(float(values.mean()), stderr, int(n_samples), int(seed))

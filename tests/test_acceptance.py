@@ -35,6 +35,7 @@ from gaussgreen.kernels import (
 )
 from gaussgreen.linalg import Tolerances
 from gaussgreen.simulate import ChainSpec, laplace, simulate_ct_green, simulate_green
+from exact import band_dependent, exact_inverse, exact_verdict
 from helpers import MIN_KERNEL, min_kernel, random_substochastic
 
 GOLDEN = Path(__file__).parent / "golden" / "sheet_counterexample.json"
@@ -244,7 +245,7 @@ def test_criterion_8_brute_force_signature_oracle():
     with criterion(8, "sign propagation agrees with exhaustive signature "
                       "enumeration", 30.0):
         rng = np.random.default_rng(808)
-        found_some, found_none = 0, 0
+        found_some, found_none, decided = 0, 0, 0
         for k in range(50):
             n = int(rng.integers(2, 9))
             if k % 2 == 0:
@@ -258,6 +259,12 @@ def test_criterion_8_brute_force_signature_oracle():
             A = np.linalg.inv(G)
             brute = _brute_force_signature(G, A)
             ours = find_signature(G)
+            # The brute force shares the zero band; the exact verdict has none.
+            exact_a = exact_inverse(G)
+            if not band_dependent(G, exact_a, 1e-10):
+                decided += 1
+                assert classify_green(G).kind == exact_verdict(G, exact_a).kind, \
+                    f"instance {k}"
             if brute is None:
                 found_none += 1
                 assert isinstance(ours, NoSignature), f"instance {k}"
@@ -268,6 +275,7 @@ def test_criterion_8_brute_force_signature_oracle():
                 via_brute = is_m_matrix(brute[:, None] * A * brute[None, :])
                 assert type(via_ours) is type(via_brute), f"instance {k}"
         assert found_some > 0 and found_none > 0
+        assert decided >= 45
 
 
 def test_criterion_9_dyadic_convergence():

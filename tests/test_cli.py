@@ -78,10 +78,39 @@ class TestCmdCheck:
         code = main(["check", "--input", str(path), "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
+        assert doc["schema"] == "gaussgreen.check/2"
         assert doc["verdict"] == "not_id"
         assert doc["witness"]["kind"] == "no_signature"
         assert doc["witness"]["entry"] == [0, 1]
-        assert doc["witness"]["value"] == pytest.approx(1.0 / 74.0)
+        # (G⁻¹)_01 = 1/74 on the correlation scale, times sqrt(G_00 G_11)
+        assert doc["witness"]["value"] == pytest.approx(np.sqrt(24.0) / 74.0)
+
+    @pytest.mark.parametrize("scale", ["1e5", "131072", "1099511627776"])
+    @pytest.mark.parametrize("family", [["--family", "counterexample"],
+                                        ["--family", "fbm", "--grid", "1,2,3,4,5,6",
+                                         "--beta", "1.5"]], ids=["counterexample", "fbm_1.5"])
+    def test_scaled_not_id_keeps_the_unscaled_witness(self, tmp_path, family, scale):
+        path, out = tmp_path / "g.json", tmp_path / "report.json"
+        n = 4 if family[1] == "counterexample" else 6
+        assert main(["zoo", *family, "--scale", ",".join([scale] * n),
+                     "--out", str(path)]) == 0
+        assert main(["check", "--input", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "not_id"
+        assert doc["witness"]["cycle"] == [1, 0, 2]
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("beta", [None, "0.5"])
+    def test_tiny_scale_id_is_green(self, tmp_path, beta):
+        family = ["--family", "brownian"] if beta is None else ["--family", "fbm", "--beta", beta]
+        path, out = tmp_path / "g.json", tmp_path / "report.json"
+        assert main(["zoo", *family, "--grid", "1,2,3,4,5,6",
+                     "--scale", ",".join([repr(2.0**-20)] * 6), "--out", str(path)]) == 0
+        assert main(["check", "--input", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "green"
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
+        assert main(["laplace", "--input", str(path), "--t", "1,1,1,1,1,1",
+                     "--out", str(out)]) == 0
 
     def test_non_square_csv_is_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -263,6 +292,26 @@ class TestCmdLaplace:
         doc = json.loads(out.read_text())
         assert doc["mc"]["estimate"] == doc["exact"] == 1.0
         assert doc["sigmas_from_exact"] == 0.0
+
+    def test_overflowing_rates_print_no_warning(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_csv(path, [[1e10, 1e9], [1e9, 1e10]])
+        src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "gaussgreen.cli", "laplace",
+             "--input", str(path), "--t", "1e300,1e300", "--samples", "100",
+             "--out", str(tmp_path / "lap.json")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith("laplace: exact=")
+
+    def test_tiny_scale_covariance_accepted(self, tmp_path):
+        path, out = tmp_path / "tiny.csv", tmp_path / "lap.json"
+        write_csv(path, 1e-13 * np.eye(2))
+        assert main(["laplace", "--input", str(path), "--t", "1,1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["exact"] == pytest.approx(1.0, rel=1e-12)
 
     def test_overflowing_rates_write_valid_json(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -467,16 +516,17 @@ def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):
     for command in ("check", "decompose"):
         calls.clear()
         assert main([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
-        # One symmetry scan of the loaded covariance; besides the finiteness
-        # scan inside it, only invert checks it again.
+        # One symmetry scan of the loaded covariance, with the finiteness
+        # scan inside it; invert then checks its correlation matrix.
         loaded = calls[0][1]
         assert calls[0][0] == "as_covariance"
         assert [c for c in calls if c[0] == "as_covariance"] == [calls[0]], command
-        assert calls.count(("as_square_matrix", loaded)) == 2, command
-    # check re-scans neither the inverse nor any matrix derived from it.
+        assert calls.count(("as_square_matrix", loaded)) == 1, command
+    # check re-scans neither the inverse nor any other matrix derived from G.
     calls.clear()
     assert main(["check", "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert {m for attr, m in calls if attr == "as_square_matrix"} == {calls[0][1]}
+    scanned = [m for attr, m in calls if attr == "as_square_matrix"]
+    assert len(scanned) == 2 and scanned[0] == calls[0][1] != scanned[1]
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

@@ -29,7 +29,14 @@ from gaussgreen.kernels import (
     sheet_counterexample,
     sheet_cov,
 )
-from gaussgreen.linalg import NotPositiveDefiniteError, Tolerances, cholesky, invert, is_nonneg
+from gaussgreen.linalg import (
+    NotPositiveDefiniteError,
+    Tolerances,
+    cholesky,
+    covariance,
+    is_nonneg,
+)
+from exact import band_dependent, exact_inverse, exact_verdict
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd, signature_product_around
 
 TRIPLE_NOT_ID = np.array([[1.0, 0.4, -0.4], [0.4, 1.0, 0.4], [-0.4, 0.4, 1.0]])
@@ -223,9 +230,10 @@ class TestFindSignature:
         wit = find_signature(G)
         assert isinstance(wit, NoSignature)
         assert wit.reason == "cycle"
-        # the unremovable positive entry of the inverse
+        # the unremovable positive entry (G⁻¹)_01 = 1/74, on the correlation
+        # scale: times sqrt(G_00 G_11) = sqrt(2 * 12)
         assert wit.index == (0, 1)
-        assert wit.value == pytest.approx(1.0 / 74.0, rel=1e-10)
+        assert wit.value == pytest.approx(np.sqrt(24.0) / 74.0, rel=1e-10)
         A = np.linalg.inv(G)
         assert signature_product_around(A, wit.cycle) == -1
 
@@ -238,14 +246,25 @@ class TestFindSignature:
         assert signature_product_around(A, wit.cycle) == -1
 
     def test_entry_witness_on_subthreshold_coupling(self):
-        # off-diagonal of the inverse hides below the zero band while the
-        # covariance coupling it induces does not
+        # A coupling that is small only on the scale of G is an edge: the
+        # inverse of this G has 9e-8 off the diagonal of C⁻¹, far above the
+        # band, and the square is exactly ID with a sign flip.
         A = np.array([[1e-3, 0.9e-10], [0.9e-10, 1e-3]])
-        G = np.linalg.inv(A)
-        wit = find_signature(G)
+        sig = find_signature(np.linalg.inv(A))
+        assert isinstance(sig, Signature)
+        np.testing.assert_array_equal(sig.signs, [1, -1])
+        assert exact_verdict(np.linalg.inv(A)).signs == (1, -1)
+        # Close points make C⁻¹ ~ 1e9, so at eps 1e-6 the -1.4 coupling
+        # between the second and third points hides below the band while
+        # the covariance coupling (-0.71 after the flip) does not.
+        s = np.array([1.0, 1.0, -1.0])
+        G = s[:, None] * brownian_cov([1.0, 1.000000001, 2.0]) * s[None, :]
+        wit = find_signature(G, Tolerances(eps_zero=1e-6))
         assert isinstance(wit, NoSignature)
         assert wit.reason == "entry"
-        assert wit.value < 0
+        assert wit.index == (1, 2)
+        assert wit.value == pytest.approx(-np.sqrt(0.5), rel=1e-8)
+        assert isinstance(find_signature(G), Signature)
 
     def test_requires_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -272,7 +291,8 @@ class TestIsIdSquare:
     def test_min_kernel_id(self):
         verdict = is_id_square(MIN_KERNEL)
         assert verdict.is_id
-        assert verdict.cert.c == pytest.approx(2.0)
+        # c = max diag C⁻¹ = max_i (G⁻¹)_ii G_ii = max(2, 4, 3)
+        assert verdict.cert.c == pytest.approx(4.0)
         assert verdict.signature.is_trivial
 
     def test_fbm_half_grid_id(self):
@@ -326,6 +346,10 @@ class TestTripleConditions:
         assert not triple_necessary(TRIPLE_NOT_ID)
         assert triple_necessary(np.eye(3))
         assert triple_necessary(MIN_KERNEL)  # product of off-diagonals is 2
+        # a product of -1.25e-25 is negative at any scale of G
+        tiny = 1e-8 * np.array([[2.0, -0.5, 0.5], [-0.5, 2.0, 0.5], [0.5, 0.5, 2.0]])
+        assert not triple_necessary(tiny)
+        assert not is_id_square(tiny).is_id
 
     def test_sufficient_sheet_diagonal_points(self):
         G = np.array([[1.0, 1.0, 1.0], [1.0, 4.0, 4.0], [1.0, 4.0, 9.0]])
@@ -388,10 +412,12 @@ class TestDiagDominant:
         assert classify_green(np.eye(4)).kind == "green"
 
     def test_conjugated_inverse_loses_dominance(self):
-        # The inverse is diag(1, 10, 1) MIN_KERNEL_INV diag(1, 10, 1).
+        # The inverse is diag(1, 10, 1) MIN_KERNEL_INV diag(1, 10, 1), whose
+        # first row sums to -8; row_sums scales it by sqrt(G_00 min G) with
+        # diag G = (1, 0.02, 3).
         cls = classify_green(scale_conjugate(MIN_KERNEL, [1.0, 0.1, 1.0]))
         assert cls.kind == "id_not_green"
-        assert cls.row_sums[0] == pytest.approx(-8.0)
+        assert cls.row_sums[0] == pytest.approx(-8.0 * np.sqrt(0.02))
 
 
 class TestClassifyGreen:
@@ -474,6 +500,9 @@ class TestBruteForceAgreement:
             A = np.linalg.inv(G)
             expected = brute_force_signature(G, A)
             found = find_signature(G)
+            exact_a = exact_inverse(G)
+            if not band_dependent(G, exact_a, 1e-10):
+                assert classify_green(G).kind == exact_verdict(G, exact_a).kind
             if expected is None:
                 assert isinstance(found, NoSignature)
             else:
@@ -489,9 +518,10 @@ class TestBruteForceAgreement:
 
 def reference_find_signature(G, tol=Tolerances()):
     """Edge-at-a-time breadth-first sign propagation, the reference for the
-    vectorized frontier in :func:`find_signature`."""
-    A = invert(G, factor=cholesky(G))
-    A = 0.5 * (A + A.T)
+    vectorized frontier in :func:`find_signature`, on the same correlation
+    matrix ``C`` and inverse."""
+    cov = covariance(G)
+    C, A = cov.C, cov.inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
     adjacency = np.abs(A) > thr_a
@@ -520,7 +550,7 @@ def reference_find_signature(G, tol=Tolerances()):
                     return NoSignature("cycle", culprit, float(A[culprit]), cycle)
         components.append(tuple(comp))
     sig = Signature(signs=signs, components=tuple(components))
-    check = is_nonneg(sig.conjugate(G), tol.zero_threshold(G))
+    check = is_nonneg(sig.conjugate(C), tol.zero_threshold(C))
     if not check.ok:
         return NoSignature("entry", index=check.index, value=check.min_value)
     return sig
@@ -555,6 +585,101 @@ def test_vectorized_bfs_matches_reference():
         else:
             assert (ours.reason, ours.index, ours.value, ours.cycle) == (
                 ref.reason, ref.index, ref.value, ref.cycle)
+
+
+def dyadic_green(n, seed):
+    """``random_green``'s covariance, symmetrized and rounded to 2^-30."""
+    _, g = random_green(n, seed, symmetric=True)
+    return np.round((g + g.T) * 2.0**29) / 2.0**30
+
+
+FAMILIES = ("brownian", "fbm_0.5", "fbm_1.5", "random_green", "counterexample",
+            "block")
+
+
+def transformed(family, n, seed, perm, signs, exps):
+    """``F P G Pᵀ F`` for a family instance ``G``, a permutation ``P`` and
+    ``F = S D``, ``D = diag(2^exps)``: the scaling keeps every entry exact."""
+    grid = np.arange(1.0, n + 1.0)
+    if family == "brownian":
+        G = brownian_cov(grid)
+    elif family.startswith("fbm"):
+        G = fbm_cov(grid, float(family[4:]))
+    elif family == "random_green":
+        G = dyadic_green(n, seed)
+    elif family == "counterexample":
+        G = sheet_counterexample()[1]
+    else:
+        k = (n + 1) // 2
+        G = np.zeros((n, n))
+        G[:k, :k] = brownian_cov(grid[:k])
+        G[k:, k:] = dyadic_green(n - k, seed)
+    f = np.asarray(signs, dtype=float) * np.exp2(np.asarray(exps, dtype=float))
+    return f[:, None] * G[np.ix_(perm, perm)] * f[None, :]
+
+
+def agrees_with_exact(G):
+    """Check ``classify_green`` against the exact verdict on the stored ``G``:
+    the kind, the signature up to one flip per component, and the
+    contradiction cycle.  Returns False, having compared nothing, when the
+    instance is band-dependent."""
+    A = exact_inverse(G)
+    if band_dependent(G, A, Tolerances().eps_zero):
+        return False
+    exact, cls = exact_verdict(G, A), classify_green(G)
+    assert cls.kind == exact.kind
+    if exact.kind == "not_id":
+        assert cls.verdict.witness.reason == "cycle"
+        assert cls.verdict.witness.cycle == exact.cycle
+    else:
+        signs = cls.verdict.signature.signs
+        for comp in exact.components:
+            flips = signs[list(comp)] * np.array([exact.signs[i] for i in comp])
+            assert abs(int(flips.sum())) == len(comp)
+    return True
+
+
+class TestExactOracle:
+    """Scale-invariant verdicts: ``P S D`` transforms of the families, with
+    ``D = diag(2^k)``, ``k`` in [-40, 40], against exact-rational ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(FAMILIES),
+           n=st.integers(2, 8), seed=st.integers(0, 2**16))
+    def test_scaled_permuted_verdict_is_exact(self, data, family, n, seed):
+        if family == "counterexample":
+            n = 4
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        exps = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+        agrees_with_exact(transformed(family, n, seed, perm, signs, exps))
+
+    def test_most_scaled_draws_are_decided(self):
+        rng = np.random.default_rng(16)
+        decided = 0
+        for _ in range(150):
+            family = FAMILIES[int(rng.integers(len(FAMILIES)))]
+            n = 4 if family == "counterexample" else int(rng.integers(2, 9))
+            decided += agrees_with_exact(transformed(
+                family, n, int(rng.integers(2**16)), rng.permutation(n),
+                rng.choice([-1, 1], size=n), rng.integers(-40, 41, size=n)))
+        assert decided >= 135
+
+    @pytest.mark.parametrize("scale", [1e5, 2.0**17, 2.0**40])
+    @pytest.mark.parametrize("family", ["counterexample", "fbm_1.5"])
+    def test_scaled_not_id_keeps_its_witness(self, family, scale):
+        G = sheet_counterexample()[1] if family == "counterexample" else \
+            fbm_cov(np.arange(1.0, 7.0), 1.5)
+        verdict = is_id_square(scale * scale * G)
+        assert not verdict.is_id
+        assert verdict.witness.cycle == is_id_square(G).witness.cycle == (1, 0, 2)
+
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_tiny_scale_id_is_green(self, beta):
+        grid = np.arange(1.0, 7.0)
+        G = brownian_cov(grid) if beta is None else fbm_cov(grid, beta)
+        for d in (2.0**-20, 2.0**-40):
+            assert classify_green(d * d * G).kind == "green"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgreen.criteria import classify_green, is_id_square
+from gaussgreen.criteria import MMatrixCert, _bracket, classify_green, is_id_square
 from gaussgreen.decomposition import (
     GreenDecomposition,
     NotInfinitelyDivisibleError,
@@ -30,42 +30,60 @@ MIN_KERNEL_G = np.array(
 
 
 def scaling_vectors(G):
-    """``u`` of the decomposition and of the certificate, computed apart."""
+    """``u`` of the decomposition, ``(S G S) 𝟙``, and of the certificate,
+    ``(S C S) 𝟙`` on the correlation matrix ``C``, computed apart."""
     return decompose(G).u, is_id_square(G).cert.u
 
 
+def correlation(G):
+    d = 1.0 / np.sqrt(np.diag(G))
+    return d[:, None] * G * d[None, :]
+
+
 class TestRowSumScaling:
-    """``u = (S G S) 𝟙`` is read from the M-matrix certificate."""
+    """The chain's ``u = (S G S) 𝟙`` is read on the scale of ``G``; the
+    verdict's certificate reads ``C``."""
 
     def test_min_kernel(self):
-        for u in scaling_vectors(MIN_KERNEL):
-            np.testing.assert_allclose(u, [3.0, 5.0, 6.0])
+        u, cert_u = scaling_vectors(MIN_KERNEL)
+        np.testing.assert_allclose(u, [3.0, 5.0, 6.0])
+        np.testing.assert_allclose(cert_u, correlation(MIN_KERNEL).sum(axis=1))
 
     def test_identity(self):
         for u in scaling_vectors(np.eye(3)):
             np.testing.assert_allclose(u, np.ones(3))
 
     def test_scalar(self):
-        for u in scaling_vectors(np.array([[2.0]])):
-            np.testing.assert_allclose(u, [2.0])
+        u, cert_u = scaling_vectors(np.array([[2.0]]))
+        np.testing.assert_allclose(u, [2.0])
+        np.testing.assert_allclose(cert_u, [1.0])
 
     def test_inverse_maps_scaling_to_ones(self):
-        for u in scaling_vectors(MIN_KERNEL):
-            np.testing.assert_allclose(np.linalg.inv(MIN_KERNEL) @ u, np.ones(3), atol=1e-12)
+        u, cert_u = scaling_vectors(MIN_KERNEL)
+        np.testing.assert_allclose(np.linalg.inv(MIN_KERNEL) @ u, np.ones(3), atol=1e-12)
+        C = correlation(MIN_KERNEL)
+        np.testing.assert_allclose(np.linalg.inv(C) @ cert_u, np.ones(3), atol=1e-12)
 
     def test_decomposition_scaling_is_the_certificate_vector(self):
+        # The decomposition's u certifies S G⁻¹ S as the verdict's u
+        # certifies S C⁻¹ S.
         S0 = np.diag([1.0, -1.0, 1.0, 1.0])
         instances = [MIN_KERNEL, S0 @ min_kernel(4) @ S0,
                      scale_conjugate(random_green(5, seed=4)[1], [1, 3, 0.5, 2, 1])]
         for G in instances:
             verdict = is_id_square(G)
             cert, sig = verdict.cert, verdict.signature
-            u = decompose(G).u
-            np.testing.assert_array_equal(u, cert.u)
-            np.testing.assert_array_equal(u, sig.conjugate(G).sum(axis=1))
-            A = cert.c * np.eye(len(u)) - cert.B
-            np.testing.assert_allclose(A @ cert.u, np.ones(len(u)), atol=1e-10)
-            np.testing.assert_allclose(A, sig.conjugate(np.linalg.inv(G)), atol=1e-10)
+            dec = decompose(G)
+            np.testing.assert_array_equal(dec.signature.signs, sig.signs)
+            np.testing.assert_array_equal(dec.u, sig.conjugate(G).sum(axis=1))
+            np.testing.assert_array_equal(cert.u, sig.conjugate(correlation(G)).sum(axis=1))
+            A = cert.c * np.eye(len(cert.u)) - cert.B
+            np.testing.assert_allclose(A @ cert.u, np.ones(len(cert.u)), atol=1e-10)
+            np.testing.assert_allclose(A, sig.conjugate(np.linalg.inv(correlation(G))),
+                                       atol=1e-10)
+            A_G = sig.conjugate(np.linalg.inv(G))
+            assert isinstance(_bracket(A_G, dec.u), MMatrixCert)
+            np.testing.assert_allclose(A_G @ dec.u, np.ones(len(dec.u)), atol=1e-10)
 
 
 class TestDecompose:
@@ -120,49 +138,61 @@ class TestDecompose:
 
     @pytest.mark.parametrize("eps", [1e-6, 0.01])
     @pytest.mark.parametrize(
-        "G",
-        [brownian_cov([1.0, 1.000000001, 2.0]),
-         scale_conjugate(brownian_cov([1.0, 2.0, 3.0, 4.0, 5.0]), [1000.0] * 5)],
+        "G, n_components",
+        [(brownian_cov([1.0, 1.000000001, 2.0]), 2),
+         (scale_conjugate(brownian_cov([1.0, 2.0, 3.0, 4.0, 5.0]), [1000.0] * 5), 1)],
         ids=["close_points", "scaled_1e6"],
     )
-    def test_band_split_component_agrees_with_classify(self, G, eps):
-        # The band drops nonzero entries of G⁻¹ from the sign graph, so one
-        # connected component falls apart into several; the chain is still
-        # built and verified.
+    def test_band_split_component_agrees_with_classify(self, G, n_components, eps):
+        # Close points give C⁻¹ entries of 1e9 next to ones of -1.4, so the
+        # band drops nonzero entries from the sign graph and one connected
+        # component falls apart; the chain is still built and verified.  A
+        # uniform scaling of G leaves C, and so the graph, unchanged.
         tol = Tolerances(eps_zero=eps)
         cls = classify_green(G, tol)
         assert cls.kind == "green"
-        assert len(cls.verdict.signature.components) > 1
+        assert len(cls.verdict.signature.components) == n_components
         dec = decompose(G, tol)
         np.testing.assert_array_equal(dec.signature.signs, cls.verdict.signature.signs)
         assert dec.reconstruction_error <= 1e-9
 
 
+def unit_scaled_chain(G):
+    """``T = B / c`` from ``G⁻¹ = c I - B``, the chain with ``u = 𝟙``."""
+    A = np.linalg.inv(G)
+    c = A.diagonal().max()
+    return (c * np.eye(len(A)) - A) / c, c
+
+
 class TestUnitScaling:
+    """A ``green`` ``G`` is the visit-count matrix of ``B / c`` itself."""
+
     def test_green_instance_allows_unit_scaling(self):
         assert classify_green(MIN_KERNEL).kind == "green"
-        dec = decompose(MIN_KERNEL, unit_scaling=True)
-        np.testing.assert_allclose(dec.u, 1.0)
-        row_sums = dec.T.sum(axis=1)
+        T, c = unit_scaled_chain(MIN_KERNEL)
+        row_sums = T.sum(axis=1)
+        assert T.min() >= 0.0
         assert (row_sums <= 1.0 + 1e-12).all()
         assert (row_sums < 1.0 - 1e-12).any()
-        np.testing.assert_allclose(dec.kappa, [0.5, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(reconstruct(dec), MIN_KERNEL, atol=1e-10)
+        np.testing.assert_allclose(1.0 - row_sums, [0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.linalg.inv(np.eye(3) - T) / c, MIN_KERNEL, atol=1e-10)
 
     def test_non_dominant_instance_rejected(self):
         G = scale_conjugate(MIN_KERNEL, [1.0, 10.0, 1.0])
-        with pytest.raises(NumericalFailureError):
-            decompose(G, unit_scaling=True)
+        assert classify_green(G).kind == "id_not_green"
+        T, _ = unit_scaled_chain(G)
+        assert T.sum(axis=1).max() > 1.0
 
     def test_random_green_instances_allow_unit_scaling(self):
         for seed in (3, 5, 8):
             _, g = random_green(5, seed=seed, symmetric=True)
             assert classify_green(g).kind == "green"
-            dec = decompose(g, unit_scaling=True)
-            row_sums = dec.T.sum(axis=1)
+            T, c = unit_scaled_chain(g)
+            row_sums = T.sum(axis=1)
+            assert T.min() >= 0.0
             assert (row_sums <= 1.0 + 1e-12).all()
             assert (row_sums < 1.0 - 1e-12).any()
-            np.testing.assert_allclose(reconstruct(dec), g, atol=1e-9)
+            np.testing.assert_allclose(np.linalg.inv(np.eye(5) - T) / c, g, atol=1e-9)
 
 
 class TestReconstruct:
@@ -253,7 +283,7 @@ class TestValidationCorpus:
             corpus.append(scale_conjugate(g, d))
         for G in corpus:
             dec = decompose(G)
-            rel = float(np.abs(reconstruct(dec) - G).max()) / max(1.0, float(np.abs(G).max()))
+            rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
             assert rel <= 1e-10
             assert dec.reconstruction_error == rel
             assert isinstance(dec, GreenDecomposition)
@@ -289,7 +319,7 @@ def flipped_block_inputs(draw):
 
 def assert_round_trip_in_detailed_balance(G):
     dec = decompose(G)
-    rel = float(np.abs(reconstruct(dec) - G).max()) / max(1.0, float(np.abs(G).max()))
+    rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
     assert rel <= 1e-9
     assert dec.reconstruction_error == rel
     g_sym, mu = symmetric_green(dec)

@@ -95,6 +95,19 @@ class TestCholesky:
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 0.3], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [2.0**-100, 1e-13, 1.0, 2.0**100])
+    def test_pivot_floor_is_relative_to_the_diagonal(self, scale):
+        # Pivot 1 of [[1, 1], [1, 1 + h]] is h: above the floor at h = 1e-11,
+        # at or below it at h = 1e-13, whatever the scale.
+        L = cholesky(scale * np.eye(2))
+        np.testing.assert_allclose(L, np.sqrt(scale) * np.eye(2))
+        assert cholesky(scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]))[1, 1] > 0
+        near = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        for factor in (cholesky, linalg._cholesky_unblocked):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                factor(near)
+            assert err.value.pivot_index == 1
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             as_covariance(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -161,9 +174,24 @@ class TestInvertFromCholesky:
 class TestCovariance:
     def test_reused_across_zero_bands(self):
         cov = linalg.covariance(MIN_KERNEL)
-        np.testing.assert_allclose(cov.inverse, MIN_KERNEL_INV, atol=1e-12)
+        # C = D G D with D = diag(G)^{-1/2}, and C⁻¹ = D⁻¹ G⁻¹ D⁻¹.
+        root = np.sqrt([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(cov.d, 1.0 / root, rtol=1e-15)
+        np.testing.assert_allclose(cov.C, MIN_KERNEL / np.outer(root, root), atol=1e-15)
+        np.testing.assert_allclose(cov.inverse, MIN_KERNEL_INV * np.outer(root, root),
+                                   atol=1e-12)
         np.testing.assert_array_equal(cov.inverse, cov.inverse.T)
         assert linalg.covariance(cov) is cov
+
+    def test_power_of_two_scaling_leaves_c_unchanged(self):
+        rng = np.random.default_rng(16)
+        G = random_spd(6, rng)
+        base = linalg.covariance(G)
+        for _ in range(5):
+            f = np.exp2(rng.integers(-40, 41, size=6).astype(float))
+            cov = linalg.covariance(f[:, None] * G * f[None, :])
+            np.testing.assert_array_equal(cov.C, base.C)
+            np.testing.assert_array_equal(cov.inverse, base.inverse)
 
 class TestTrilInverse:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])

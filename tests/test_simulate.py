@@ -173,11 +173,19 @@ class TestLaplaceExact:
     @pytest.mark.parametrize("G", [
         [[1.0, 2.0], [2.0, 1.0]],  # indefinite, though det(I + G diag(t)) = 1.17
         [[1.0, 1.0], [1.0, 1.0]],  # singular semidefinite: det(I + G diag(t)) = 1.2
-        [[1e-13, 0.0], [0.0, 1e-13]],  # definite, but below the pivot floor
-    ], ids=["indefinite", "singular", "tiny"])
+    ], ids=["indefinite", "singular"])
     def test_not_positive_definite_rejected_with_or_without_samples(self, G, n_samples):
         with pytest.raises(NotPositiveDefiniteError):
             laplace(np.array(G), [0.1, 0.1], n_samples, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [0, 10])
+    def test_tiny_scale_definite_accepted(self, n_samples):
+        # The pivot floor is relative to the diagonal, so 1e-13 I is a
+        # covariance; det(I + 1e-14 I) = 1 + 2e-14.
+        exact, mc = laplace(1e-13 * np.eye(2), [0.1, 0.1], n_samples, seed=0)
+        assert exact == pytest.approx(1.0 - 1e-14, rel=1e-15)
+        if n_samples:
+            assert mc.estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_overflowing_rates_give_a_tiny_value(self):
         G = np.array([[1e10, 1e9], [1e9, 1e10]])
