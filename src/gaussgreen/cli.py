@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -82,29 +83,46 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
         fmt = "json" if path.endswith(".json") else "csv"
     try:
         with open(path) as fh:
-            text = fh.read()
+            if fmt == "json":
+                text = fh.read()
+            else:
+                lines = _read_lines(fh)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     if fmt == "json":
         return _matrix_from_json(text, path)
-    return _matrix_from_csv(text, path)
+    return _matrix_from_csv(lines, path)
 
 
-def _matrix_from_csv(text: str, path: str) -> np.ndarray:
+def _read_lines(fh) -> list[str]:
+    """``fh.read().splitlines()``, read a line at a time so that the file's
+    bytes and whole text are never held next to the lines.  A line that
+    iteration yields ends in ``\n``, which always ends a line of the text,
+    so splitting each one splits the text."""
+    try:
+        return [line for raw in fh for line in raw.splitlines()]
+    except UnicodeDecodeError:
+        # Iteration decodes in blocks and counts the bad byte's position
+        # from the block; decoded whole, the error gives it in the file.
+        fh.seek(0)
+        fh.read()
+        raise
+
+
+def _matrix_from_csv(lines: list[str], path: str) -> np.ndarray:
     """Rows of comma-separated ``float()`` literals; ``#`` comments, blank lines.
 
-    numpy's C reader takes the lines as Python splits them and converts
-    each field with ``PyOS_string_to_double``, the routine behind
-    ``float()``, so it returns the same array bit for bit.  Whatever it
-    rejects (underscores, empty or whitespace-only fields and lines, ragged
-    rows) or reads as empty or non-square goes to the reference parser,
-    which gives the result or the ``ParseError``.  Both strip Unicode
-    whitespace around a field, but ``float()`` keeps U+001C-U+001F; line
-    splitting removes the first three, so text holding U+001F skips the C
-    reader.
+    ``lines`` are the text split by ``str.splitlines``.  numpy's C reader
+    takes them and converts each field with ``PyOS_string_to_double``, the
+    routine behind ``float()``, so it returns the same array bit for bit.
+    Whatever it rejects (underscores, empty or whitespace-only fields and
+    lines, ragged rows) or reads as empty or non-square goes to the
+    reference parser, which gives the result or the ``ParseError``.  Both
+    strip Unicode whitespace around a field, but ``float()`` keeps
+    U+001C-U+001F; line splitting removes the first three, so text holding
+    U+001F skips the C reader.
     """
-    lines = text.splitlines()
-    if "\x1f" not in text:
+    if not any("\x1f" in line for line in lines):
         try:
             with warnings.catch_warnings():
                 # numpy warns, rather than raises, on input without rows.
@@ -169,46 +187,77 @@ def _matrix_from_json(text: str, path: str) -> np.ndarray:
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 _SCALAR_TYPES = {float, int, bool, type(None)}
+_LEAF_TYPES = _SCALAR_TYPES | {str}
 
 
-def _dumps(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``pad`` deep.
+def _chunks(value, pad: str = ""):
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``pad`` deep,
+    in pieces; an ndarray is encoded as its ``tolist()`` would be.
 
     ``json.dumps`` with an indent runs the pure-Python encoder; here each
     list of scalars (a matrix row, a vector) goes through the C encoder in
     one call and is re-indented, which is where reports spend their bytes.
-    Keys must be strings, as they are in every report.
+    A matrix is converted one row at a time, so no list or text of a whole
+    matrix is held.  Keys must be strings, as they are in every report.
     """
-    inner = pad + "  "
+    if isinstance(value, np.ndarray) and value.ndim < 2:
+        if value.ndim == 1 and value.size and value.dtype.kind in "biuf":
+            yield _scalar_list(value.tolist(), pad)
+            return
+        value = value.tolist()
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = (f"{inner}{_ENCODE(key)}: {_dumps(value[key], inner)}"
-                 for key in sorted(value))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) <= _SCALAR_TYPES:
-            # Scalar encodings contain no ", ", so this splits only items.
-            body = inner + _ENCODE(value)[1:-1].replace(", ", ",\n" + inner)
+            yield "{}"
+            return
+        inner, head = pad + "  ", "{\n"
+        for key in sorted(value):
+            item = value[key]
+            if type(item) in _LEAF_TYPES:
+                yield f"{head}{inner}{_ENCODE(key)}: {_ENCODE(item)}"
+            else:
+                yield f"{head}{inner}{_ENCODE(key)}: "
+                yield from _chunks(item, inner)
+            head = ",\n"
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if not len(value):
+            yield "[]"
+        elif not isinstance(value, np.ndarray) and set(map(type, value)) <= _SCALAR_TYPES:
+            yield _scalar_list(value, pad)
         else:
-            body = ",\n".join(inner + _dumps(v, inner) for v in value)
-        return "[\n" + body + "\n" + pad + "]"
-    return _ENCODE(value)
+            inner, head = pad + "  ", "[\n"
+            for item in value:
+                yield head + inner
+                yield from _chunks(item, inner)
+                head = ",\n"
+            yield "\n" + pad + "]"
+    else:
+        yield _ENCODE(value)
+
+
+def _scalar_list(items, pad: str) -> str:
+    """A nonempty list of scalars, one C-encoder call re-indented."""
+    inner = pad + "  "
+    # Scalar encodings contain no ", ", so this splits only items.
+    body = _ENCODE(items)[1:-1].replace(", ", ",\n" + inner)
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def write_report(doc: dict, out: str | None) -> None:
-    text = _dumps(doc) + "\n"
+    """Write ``doc`` as it is encoded: to stdout, or through a temp file
+    that replaces ``out`` only once the whole report is written."""
+    chunks = itertools.chain(_chunks(doc), ["\n"])
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     directory = os.path.dirname(os.path.abspath(out))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, out)
     except OSError as err:
         raise ParseError(f"cannot write {out}: {err.strerror or err}") from err
@@ -253,9 +302,11 @@ def _witness_dict(w) -> dict | None:
 def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
     cov = covariance(load_matrix(args.input, args.format))
+    # The relaxed run goes first: only its kind is kept, so the two
+    # certificates (an n x n matrix each) are never held together.
+    relaxed = classify_green(cov, tol.scaled(INDETERMINATE_FACTOR)).kind
     cls = classify_green(cov, tol)
-    relaxed = classify_green(cov, tol.scaled(INDETERMINATE_FACTOR))
-    verdict = cls.kind if cls.kind == relaxed.kind else "indeterminate"
+    verdict = cls.kind if cls.kind == relaxed else "indeterminate"
 
     margins = dict(cls.verdict.margins)
     if cls.row_sums is not None:
@@ -267,9 +318,9 @@ def cmd_check(args) -> int:
             "input": os.path.basename(args.input),
             "n": cov.G.shape[0],
             "verdict": verdict,
-            "verdict_at_relaxed_tolerance": relaxed.kind,
+            "verdict_at_relaxed_tolerance": relaxed,
             "signature": (
-                cls.verdict.signature.signs.tolist()
+                cls.verdict.signature.signs
                 if cls.verdict.signature is not None
                 else None
             ),
@@ -297,12 +348,12 @@ def cmd_decompose(args) -> int:
     doc.update(
         {
             "verdict": "id",
-            "signature": dec.signature.signs.tolist(),
-            "u": dec.u.tolist(),
+            "signature": dec.signature.signs,
+            "u": dec.u,
             "c": dec.c,
-            "T": dec.T.tolist(),
-            "kappa": dec.kappa.tolist(),
-            "g": dec.g.tolist(),
+            "T": dec.T,
+            "kappa": dec.kappa,
+            "g": dec.g,
             "reconstruction_error": dec.reconstruction_error,
         }
     )
@@ -354,7 +405,7 @@ def cmd_laplace(args) -> int:
         raise ParseError(f"bad --t: {err}") from err
     exact, mc = laplace(G, t, n_samples=args.samples, seed=args.seed)
     doc = _meta("laplace/1")
-    doc.update({"command": "laplace", "t": t.tolist(), "exact": exact})
+    doc.update({"command": "laplace", "t": t, "exact": exact})
     if mc is not None:
         gap = abs(mc.estimate - exact)
         # stderr 0 (one sample, or all values equal) gives no count for a gap.
@@ -409,7 +460,7 @@ def cmd_zoo(args) -> int:
             "family": args.family,
             "params": params,
             "n": G.shape[0],
-            "entries": G.tolist(),
+            "entries": G,
         }
     )
     write_report(doc, args.out)

@@ -40,6 +40,7 @@ from .linalg import (
     as_covariance,
     as_square_matrix,
     covariance,
+    eye_minus,
     is_nonneg,
 )
 
@@ -72,9 +73,10 @@ class Signature:
 
     def conjugate(self, M) -> np.ndarray:
         """Return ``S M S`` for this signature."""
-        M = np.asarray(M, dtype=float)
         s = self.signs.astype(float)
-        return s[:, None] * M * s[None, :]
+        out = np.multiply(M, s[:, None], dtype=float)
+        out *= s
+        return out
 
     @property
     def is_trivial(self) -> bool:
@@ -201,17 +203,20 @@ def _bracket(A, u):
     the machine epsilon, twice the unit roundoff, covers the rounding of
     the bound itself.
     """
-    c = float(A.diagonal().max())
-    B = c * np.eye(A.shape[0]) - A
     if u.min() <= 0.0:
         # No positive vector to bound rho(B) with; only zero-band noise in
         # the conjugated covariance can get here.
         return MMatrixFailure("spectral_gap", None, None)
+    c = float(A.diagonal().max())
+    # |A| u first, so that the buffer of |A| then holds B = c I - A.
+    B = np.abs(A)
+    abs_Au = B @ u
+    eye_minus(A, c, out=B)
     ratios = (B @ u) / u
     rho_lower = max(0.0, float(ratios.min()))
     rho_upper = float(ratios.max())
     eps_n = A.shape[0] * np.finfo(float).eps
-    if not (A @ u > eps_n / (1.0 - eps_n) * (np.abs(A) @ u)).all():
+    if not (A @ u > eps_n / (1.0 - eps_n) * abs_Au).all():
         # Reaching this point means the instance is undecidable in double
         # precision, or at the current band.
         return MMatrixFailure("spectral_gap", None, rho_upper - c)
@@ -264,9 +269,11 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
 
-    adjacency = np.abs(A) > thr_a
+    adjacency = A > thr_a
+    adjacency |= A < -thr_a
     np.fill_diagonal(adjacency, False)
-    forced_sign = -np.sign(A).astype(int)
+    forced_sign = np.sign(A, out=np.empty(A.shape, np.int8), casting="unsafe")
+    np.negative(forced_sign, out=forced_sign)
 
     signs = np.zeros(n, dtype=int)
     parents = np.full(n, -1)
@@ -348,20 +355,33 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
         }
         return IdVerdict(False, witness=sig, margins=margins)
 
-    conj_inv = sig.conjugate(cov.inverse)
     conj_cov = sig.conjugate(cov.C)
-    result = _bracket(conj_inv, conj_cov.sum(axis=1))
-    off = conj_inv.copy()
-    np.fill_diagonal(off, -np.inf)
+    u = conj_cov.sum(axis=1)
+    min_conj_cov = float(conj_cov.min())
+    del conj_cov
+    conj_inv = sig.conjugate(cov.inverse)
     margins = {
         "zero_threshold": thr,
-        "max_offdiagonal": float(off.max()) if off.shape[0] > 1 else 0.0,
-        "min_conjugated_covariance": float(conj_cov.min()),
+        "max_offdiagonal": _max_offdiagonal(conj_inv),
+        "min_conjugated_covariance": min_conj_cov,
     }
+    result = _bracket(conj_inv, u)
     if isinstance(result, MMatrixFailure):
         return IdVerdict(False, witness=result, margins=margins)
     margins["spectral_gap"] = result.c - result.rho_upper
     return IdVerdict(True, signature=sig, cert=result, margins=margins)
+
+
+def _max_offdiagonal(A) -> float:
+    """Largest off-diagonal entry of ``A`` (0.0 when ``A`` is 1x1); the
+    diagonal of ``A`` is set aside and restored, so ``A`` is not copied."""
+    if A.shape[0] == 1:
+        return 0.0
+    diagonal = A.diagonal().copy()
+    np.fill_diagonal(A, -np.inf)
+    value = float(A.max())
+    np.fill_diagonal(A, diagonal)
+    return value
 
 
 def _correlation_3x3(G, name) -> np.ndarray:

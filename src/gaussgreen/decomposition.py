@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import Signature, is_id_square
-from .linalg import DEFAULT_TOL, SYM_TOL, Tolerances, covariance
+from .linalg import (
+    DEFAULT_TOL,
+    SYM_TOL,
+    Tolerances,
+    abs_max,
+    covariance,
+    eye_minus,
+)
 from .simulate import ChainSpec, InvalidChainError, validate_chain
 
 __all__ = [
@@ -121,14 +128,27 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
         raise NotInfinitelyDivisibleError(verdict.witness)
 
     sig = verdict.signature
-    Gp = sig.conjugate(cov.G)
-    A = sig.conjugate(cov.d[:, None] * cov.inverse * cov.d[None, :])
-    c = float(A.diagonal().max())
-    B = c * np.eye(A.shape[0]) - A
-    u = Gp.sum(axis=1)
-    T = B * u[None, :] / (c * u[:, None])
+    G, d, inverse = cov.G, cov.d, cov.inverse
+    # The verdict's B and the correlation matrices are not needed below.
+    del verdict, cov
+    # One buffer takes A = S D C⁻¹ D S and then B = c I - A and T; a second
+    # takes Gp = S G S and then g.
+    T = inverse * d[:, None]
+    T *= d
+    del inverse
+    s = sig.signs.astype(float)
+    T *= s[:, None]
+    T *= s
+    c = float(T.diagonal().max())
+    eye_minus(T, c, out=T)
+    g = sig.conjugate(G)
+    u = g.sum(axis=1)
+    T *= u
+    T /= (c * u)[:, None]
     kappa = 1.0 - T.sum(axis=1)
-    g = c * Gp * u[None, :] / u[:, None]
+    g *= c
+    g *= u
+    g /= u[:, None]
 
     dec = GreenDecomposition(
         signature=sig,
@@ -139,7 +159,7 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
         g=g,
         reconstruction_error=np.nan,
     )
-    return replace(dec, reconstruction_error=_validate(dec, cov.G))
+    return replace(dec, reconstruction_error=_validate(dec, G))
 
 
 def _validate(dec: GreenDecomposition, G) -> float:
@@ -154,14 +174,18 @@ def _validate(dec: GreenDecomposition, G) -> float:
     except InvalidChainError as exc:
         raise NumericalFailureError(str(exc)) from None
 
-    eye = np.eye(dec.n)
-    resid_tol = 1e-10 * max(1.0, float(np.abs(dec.g).max()))
-    if float(np.abs((eye - dec.T) @ dec.g - eye).max()) > resid_tol:
+    resid_tol = 1e-10 * max(1.0, abs_max(dec.g))
+    R = eye_minus(dec.T) @ dec.g
+    R.flat[:: dec.n + 1] -= 1.0
+    if abs_max(R) > resid_tol:
         raise NumericalFailureError("(I - T) g deviates from the identity")
+    del R
 
     symmetric_green(dec)
 
-    rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
+    R = reconstruct(dec)
+    R -= G
+    rel = float(abs_max(R) / abs_max(G))
     if rel > 1e-9:
         raise NumericalFailureError(f"reconstruction error {rel:.3e}")
     return rel
@@ -169,8 +193,13 @@ def _validate(dec: GreenDecomposition, G) -> float:
 
 def reconstruct(dec: GreenDecomposition) -> np.ndarray:
     """Invert the decomposition: ``S diag(u) g diag(1/u) S / c``."""
-    outer = dec.u[:, None] / dec.u[None, :]
-    return dec.signature.conjugate(outer * dec.g) / dec.c
+    s = dec.signature.signs.astype(float)
+    out = np.divide(dec.u[:, None], dec.u)
+    out *= dec.g
+    out *= s[:, None]
+    out *= s
+    out /= dec.c
+    return out
 
 
 def symmetric_green(dec: GreenDecomposition):
@@ -188,10 +217,10 @@ def symmetric_green(dec: GreenDecomposition):
         was not a symmetric covariance.
     """
     mu = dec.u**2
-    g_sym = dec.g / mu[None, :]
-    gap = np.abs(g_sym - g_sym.T)
-    scale = float(np.abs(g_sym).max())
-    if float(gap.max()) > SYM_TOL * scale:
+    g_sym = dec.g / mu
+    gap = np.subtract(g_sym, g_sym.T)
+    np.abs(gap, out=gap)
+    if float(gap.max()) > SYM_TOL * abs_max(g_sym):
         index = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise SymmetryViolationError(tuple(int(v) for v in index), gap[index])
     return g_sym, mu

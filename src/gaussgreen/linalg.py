@@ -38,6 +38,8 @@ __all__ = [
     "cholesky",
     "invert",
     "transience_bound",
+    "eye_minus",
+    "abs_max",
     "is_nonneg",
 ]
 
@@ -64,7 +66,8 @@ class SingularMatrixError(Exception):
 
 # Pivot floor for Cholesky: pivot j at or below EPS_PSD * G_jj is not positive.
 EPS_PSD = 1e-12
-# Slack allowed between M[i, j] and M[j, i] for matrices declared symmetric.
+# Slack allowed between M[i, j] and M[j, i] for matrices declared symmetric,
+# relative to sqrt(|M[i, i] M[j, j]|) in as_covariance.
 SYM_TOL = 1e-8
 
 
@@ -88,7 +91,7 @@ class Tolerances:
     def zero_threshold(self, M) -> float:
         """Absolute zero band for entries of ``M``."""
         M = np.asarray(M, dtype=float)
-        scale = float(np.abs(M).max()) if M.size else 0.0
+        scale = abs_max(M) if M.size else 0.0
         return self.eps_zero * max(1.0, scale)
 
     def scaled(self, factor: float) -> "Tolerances":
@@ -119,16 +122,27 @@ def as_square_matrix(M, name="matrix") -> np.ndarray:
     return A
 
 
+def abs_max(M) -> float:
+    """``max |M_ij|`` of a nonempty array, without an ``|M|`` temporary."""
+    return abs(float(max(M.max(), -M.min())))
+
+
 def as_covariance(G, name="covariance") -> np.ndarray:
-    """Validate ``G`` as a square matrix that is symmetric within ``SYM_TOL``."""
+    """Validate ``G`` as a square matrix that is symmetric within ``SYM_TOL``:
+    ``|G_ij - G_ji| <= SYM_TOL * sqrt(|G_ii G_jj|)`` for every pair."""
     A = as_square_matrix(G, name=name)
-    gap = np.abs(A - A.T)
-    scale = np.maximum(1.0, np.abs(A))
-    if (gap > SYM_TOL * scale).any():
-        i, j = np.unravel_index(np.argmax(gap / scale), A.shape)
+    root = np.sqrt(np.abs(A.diagonal()))
+    gap = np.subtract(A, A.T)
+    np.abs(gap, out=gap)
+    # A zero diagonal gives x/0 = inf (rejected) or 0/0 = nan (accepted).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap /= root[:, None]
+        gap /= root
+    if (gap > SYM_TOL).any():
+        i, j = np.unravel_index(np.nanargmax(gap), A.shape)
         raise ValueError(
             f"{name} is not symmetric: |{name}[{i},{j}] - {name}[{j},{i}]|"
-            f" = {gap[i, j]:.3e}"
+            f" = {abs(A[i, j] - A[j, i]):.3e}"
         )
     return A
 
@@ -153,7 +167,8 @@ def covariance(G) -> Covariance:
     G = as_covariance(G)
     L = _cholesky(G)
     d = 1.0 / np.sqrt(G.diagonal())
-    C = d[:, None] * G * d[None, :]
+    C = G * d[:, None]
+    C *= d
     L *= d[:, None]
     return Covariance(G, d, C, invert(C, factor=L))
 
@@ -227,12 +242,22 @@ def invert(A, factor) -> np.ndarray:
     k = int(np.argmin(diag))
     if diag[k] == 0.0:
         raise SingularMatrixError(k)
+    n = A.shape[0]
     Linv = _tril_inverse(factor)
-    # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric.
-    lower = np.tril(Linv.T @ Linv)
-    M = lower + np.tril(lower, -1).T
-    residual = float(np.abs(A @ M - np.eye(A.shape[0])).max())
-    bound = 1e-10 * max(1.0, np.linalg.norm(A, 1) * np.linalg.norm(M, 1))
+    # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric,
+    # and adding 0.0 turns a -0.0 into 0.0 as a sum of triangles would.
+    M = Linv.T @ Linv
+    del Linv
+    for i in range(n - 1):
+        M[i, i + 1 :] = M[i + 1 :, i]
+    M += 0.0
+    # One buffer serves |A M - I| and the one-norms |A|_1 and |M|_1.
+    R = A @ M
+    R.flat[:: n + 1] -= 1.0
+    residual = float(np.abs(R, out=R).max())
+    norm_A = np.add.reduce(np.abs(A, out=R), axis=0).max()
+    norm_M = np.add.reduce(np.abs(M, out=R), axis=0).max()
+    bound = 1e-10 * max(1.0, norm_A * norm_M)
     if not residual <= bound:
         raise SingularMatrixError(
             k, f"inverse residual {residual:.3e} exceeds {bound:.3e}"
@@ -262,7 +287,9 @@ def _tril_inverse(L) -> np.ndarray:
     out = np.zeros_like(L)
     out[:h, :h] = Pinv
     out[h:, h:] = Dinv
-    out[h:, :h] = -(Dinv @ (L[h:, :h] @ Pinv))
+    block = out[h:, :h]
+    np.matmul(Dinv, L[h:, :h] @ Pinv, out=block)
+    np.negative(block, out=block)
     return out
 
 
@@ -278,12 +305,21 @@ def transience_bound(T) -> float:
     T = as_square_matrix(T)
     n = T.shape[0]
     try:
-        x = np.linalg.solve(np.eye(n) - T, np.ones(n))
+        x = np.linalg.solve(eye_minus(T), np.ones(n))
     except np.linalg.LinAlgError:
         return np.inf
     if not (x > 0.0).all():
         return np.inf
     return 1.0 - 1.0 / float(x.max())
+
+
+def eye_minus(T, c=1.0, out=None) -> np.ndarray:
+    """``c * np.eye(n) - T`` entry for entry, without the identity: into a
+    new array, or into ``out``, which may be ``T`` itself."""
+    diagonal = c - T.diagonal()
+    out = np.subtract(c * 0.0, T, out=out)
+    out.flat[:: T.shape[0] + 1] = diagonal
+    return out
 
 
 def is_nonneg(A, eps_zero: float) -> NonnegCheck:

@@ -291,11 +291,10 @@ class SimReport:
     overflow: int = 0
 
     def to_dict(self) -> dict:
-        est = self.estimate
-        err = self.stderr
+        """Report fields; arrays stay arrays, which the CLI writer encodes."""
         return {
-            "estimate": est.tolist() if isinstance(est, np.ndarray) else est,
-            "stderr": err.tolist() if isinstance(err, np.ndarray) else err,
+            "estimate": self.estimate,
+            "stderr": self.stderr,
             "n_draws": self.n_draws,
             "seed": self.seed,
             "overflow": self.overflow,

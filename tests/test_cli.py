@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,15 @@ class TestCmdCheck:
         path = tmp_path / "indef.csv"
         write_csv(path, [[1.0, 2.0], [2.0, 1.0]])
         assert main(["check", "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "laplace"])
+    def test_tiny_asymmetric_input_is_not_symmetric(self, tmp_path, capsys, command):
+        path = tmp_path / "tiny.csv"
+        write_csv(path, 2.0**-40 * np.array([[1.0, 0.5], [0.4, 1.0]]))
+        extra = ["--t", "1,1"] if command == "laplace" else []
+        assert main([command, "--input", str(path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: covariance is not symmetric: ") and err.count("\n") == 1
 
     def test_borderline_instance_is_indeterminate(self, tmp_path):
         delta = 3e-10  # above eps_zero, below 10 * eps_zero
@@ -652,7 +662,84 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
                  "text": ["a, b", "\u00e9\n"], "mixed": [1, 2.5, True, None, (3, 4)],
                  "odd": [float("nan"), float("inf"), -0.0, 1e-300]})
     for doc in docs:
-        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert "".join(cli._chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+    # ndarrays are written as their lists would be, next to lists.
+    arrays = {
+        "vector": np.array([0.1, -0.0, 1e300, np.nan]),
+        "matrix": np.array([[1.0, 2.5, -3.0], [np.inf, 1e-300, 0.1]]),
+        "one": np.array([[7.25]]),
+        "ints": np.array([[1, -1], [0, 2]]),
+        "signs": np.array([1, -1, 1]),
+        "flags": np.array([True, False]),
+        "text": np.array(["a, b", "c"]),
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 3)),
+        "no_rows": np.zeros(0),
+        "rows": [np.array([1.0, 2.0]), np.array([3.0]), [4.0]],
+        "nested": {"list": [[1.0, 2.0], [3.0, 4.0]], "array": np.eye(2)},
+    }
+    as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in arrays.items()}
+    as_lists["rows"] = [[1.0, 2.0], [3.0], [4.0]]
+    as_lists["nested"] = {"list": [[1.0, 2.0], [3.0, 4.0]], "array": np.eye(2).tolist()}
+    for key in arrays:
+        assert "".join(cli._chunks(arrays[key])) == json.dumps(
+            as_lists[key], indent=2, sort_keys=True), key
+    assert "".join(cli._chunks(arrays)) == json.dumps(as_lists, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("command, arrays", [("check", 7), ("decompose", 12)])
+def test_peak_memory_is_a_few_matrices(tmp_path, command, arrays):
+    # The two reports hold no n x n list or text; the computation keeps the
+    # returned arrays and a few temporaries (peaks of 8 and 24 before).
+    n = 250
+    path = tmp_path / "fbm.csv"
+    np.savetxt(path, fbm_cov(np.arange(1.0, n + 1), 0.5), fmt="%.17g", delimiter=",")
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0  # imports, caches and the parser are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_failed_write_mid_report_keeps_the_old_report(tmp_path, min_kernel_csv, monkeypatch,
+                                                        capsys, out_exists):
+    out = tmp_path / "dec.json"
+    if out_exists:
+        out.write_text("old report\n")
+    fdopen = os.fdopen
+    chunks = []
+
+    class FailingFile:
+        """The report file, whose write fails after the first chunk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if chunks:
+                raise OSError(28, "No space left on device")
+            chunks.append(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: FailingFile(fdopen(*args, **kwargs)))
+    assert main(["decompose", "--input", str(min_kernel_csv), "--out", str(out)]) == 1
+    assert chunks
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["dec.json", "min_kernel.csv"] if out_exists else ["min_kernel.csv"])
+    if out_exists:
+        assert out.read_text() == "old report\n"
 
 
 class TestCmdZoo:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,9 +93,33 @@ class TestCholesky:
             cholesky(-np.eye(2))
         assert err.value.pivot_index == 0
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            cholesky(np.array([[1.0, 0.3], [0.0, 1.0]]))
+    @pytest.mark.parametrize("scale", [2.0**-100, 1e-13, 1.0, 2.0**100])
+    def test_asymmetric_rejected(self, scale):
+        # The slack is SYM_TOL * sqrt(|G_ii G_jj|), so it scales with G.
+        for M in ([[1.0, 0.3], [0.0, 1.0]], [[1.0, 0.5], [0.4, 1.0]],
+                  [[1.0, 0.5], [0.5 + 2e-8, 1.0]]):
+            with pytest.raises(ValueError, match="not symmetric"):
+                cholesky(scale * np.array(M))
+        near = scale * np.array([[1.0, 0.5], [0.5 + 5e-9, 1.0]])
+        assert as_covariance(near) is near
+
+    def test_symmetry_slack_reads_the_diagonal_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in ([[0.0, 0.0], [0.0, 1.0]], [[-1.0, 2.0], [2.0, 0.0]],
+                      [[-4.0, 0.5], [0.5 + 1e-8, -1.0]]):
+                M = np.array(M)
+                assert as_covariance(M) is M
+            for M in ([[0.0, 1e-300], [0.0, 1.0]], [[-1.0, 0.5], [0.4, -4.0]]):
+                with pytest.raises(ValueError, match="not symmetric"):
+                    as_covariance(np.array(M))
+
+    def test_tiny_asymmetric_covariance_is_not_a_singular_matrix(self):
+        # Below unit scale the old slack max(1, |G_ij|) let this through to
+        # invert, which failed on its residual with a SingularMatrixError.
+        G = 2.0**-40 * np.array([[1.0, 0.5], [0.4, 1.0]])
+        with pytest.raises(ValueError, match=r"not symmetric: \|covariance\[0,1\]"):
+            classify_green(G)
 
     @pytest.mark.parametrize("scale", [2.0**-100, 1e-13, 1.0, 2.0**100])
     def test_pivot_floor_is_relative_to_the_diagonal(self, scale):

@@ -129,7 +129,7 @@ def parse_or_error(parser, text):
 ))
 def test_csv_reader_matches_reference_parser(text):
     expected = parse_or_error(reference_matrix_from_csv, text)
-    got = parse_or_error(_matrix_from_csv, text)
+    got = parse_or_error(lambda t, path: _matrix_from_csv(t.splitlines(), path), text)
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -145,7 +145,7 @@ def test_csv_reader_matches_reference_on_benchmark_format():
     for n in (1, 2, 7, 60, 121):
         G = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
         text = "\n".join(",".join("%.17g" % v for v in row) for row in G) + "\n"
-        got = _matrix_from_csv(text, "m.csv")
+        got = _matrix_from_csv(text.splitlines(), "m.csv")
         assert got.tobytes() == G.tobytes()
         assert got.tobytes() == reference_matrix_from_csv(text, "m.csv").tobytes()
 
@@ -154,6 +154,37 @@ def run_cli(*argv, timeout=120):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-W", "default", "-m", "gaussgreen.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("pad", [8185, 8188, 8189, 8190, 8191, 8192])
+@pytest.mark.parametrize("last", ["", "2,x\n"])
+def test_file_is_split_as_its_whole_text(tmp_path, pad, last):
+    # load_matrix reads a line at a time; breaks of every kind around the
+    # reader's 8192-byte blocks must split as str.splitlines on the text.
+    text = "#" * pad + "\r\n1,0\r0,1\x0b\u2028#\u00e9\x85\r\n\x1c \n" + last
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = parse_or_error(reference_matrix_from_csv, path.read_text(encoding="utf-8"))
+    try:
+        got = load_matrix(str(path))
+    except ParseError as err:
+        got = str(err).replace(str(path), "m.csv")
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_undecodable_file_error_names_the_offset_in_the_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,0\n0,1\n" + b"#" * 20000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        with open(path) as fh:
+            fh.read()
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_matrix(str(path))
+    assert str(err.value) == str(whole.value)
+    assert "position 20008" in str(err.value)
 
 
 @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
