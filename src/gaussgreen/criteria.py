@@ -71,10 +71,11 @@ class Signature:
     signs: np.ndarray
     components: tuple[tuple[int, ...], ...]
 
-    def conjugate(self, M) -> np.ndarray:
-        """Return ``S M S`` for this signature."""
+    def conjugate(self, M, out=None) -> np.ndarray:
+        """Return ``S M S`` for this signature, in ``out`` if given (``out``
+        may be ``M`` itself)."""
         s = self.signs.astype(float)
-        out = np.multiply(M, s[:, None], dtype=float)
+        out = np.multiply(M, s[:, None], out=out, dtype=float)
         out *= s
         return out
 

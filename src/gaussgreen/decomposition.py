@@ -136,9 +136,7 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     T = inverse * d[:, None]
     T *= d
     del inverse
-    s = sig.signs.astype(float)
-    T *= s[:, None]
-    T *= s
+    sig.conjugate(T, out=T)
     c = float(T.diagonal().max())
     eye_minus(T, c, out=T)
     g = sig.conjugate(G)
@@ -193,11 +191,9 @@ def _validate(dec: GreenDecomposition, G) -> float:
 
 def reconstruct(dec: GreenDecomposition) -> np.ndarray:
     """Invert the decomposition: ``S diag(u) g diag(1/u) S / c``."""
-    s = dec.signature.signs.astype(float)
     out = np.divide(dec.u[:, None], dec.u)
     out *= dec.g
-    out *= s[:, None]
-    out *= s
+    dec.signature.conjugate(out, out=out)
     out /= dec.c
     return out
 

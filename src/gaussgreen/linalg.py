@@ -245,7 +245,8 @@ def invert(A, factor) -> np.ndarray:
     n = A.shape[0]
     Linv = _tril_inverse(factor)
     # A^-1 = L^-T L^-1; mirroring one triangle makes it exactly symmetric,
-    # and adding 0.0 turns a -0.0 into 0.0 as a sum of triangles would.
+    # and adding 0.0 turns each -0.0 into 0.0, so a zero entry (and a zero
+    # margin read from it) has one sign however it arose.
     M = Linv.T @ Linv
     del Linv
     for i in range(n - 1):
