@@ -64,6 +64,8 @@ from .simulate import (
 )
 
 SCHEMA_PREFIX = "gaussgreen"
+# check's relaxed zero band: this many times --eps, at most 0.5, and never
+# narrower than --eps itself.
 INDETERMINATE_FACTOR = 10.0
 
 
@@ -304,7 +306,8 @@ def cmd_check(args) -> int:
     cov = covariance(load_matrix(args.input, args.format))
     # The relaxed run goes first: only its kind is kept, so the two
     # certificates (an n x n matrix each) are never held together.
-    relaxed = classify_green(cov, tol.scaled(INDETERMINATE_FACTOR)).kind
+    relaxed_eps = max(args.eps, min(INDETERMINATE_FACTOR * args.eps, 0.5))
+    relaxed = classify_green(cov, Tolerances(eps_zero=relaxed_eps)).kind
     cls = classify_green(cov, tol)
     verdict = cls.kind if cls.kind == relaxed else "indeterminate"
 

@@ -444,6 +444,6 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     # one the verdict's certificate is that of C^-1 itself.
     if not verdict.signature.is_trivial:
         return GreenClassification("id_not_green", verdict, row_sums)
-    dominant = row_sums.min() >= -tol.zero_threshold(cov.inverse)
+    dominant = row_sums.min() >= -verdict.margins["zero_threshold"]
     kind = "green" if dominant else "id_not_green"
     return GreenClassification(kind, verdict, row_sums)

@@ -60,39 +60,8 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]}")
 
 
-def fbm_cov(points, beta: float, include_zero: bool = False) -> np.ndarray:
-    """Fractional-noise covariance ``|x|^b + |y|^b - |x-y|^b`` on a grid.
-
-    ``beta`` must lie in (0, 2) and ``points`` must be finite, strictly
-    increasing and nonnegative; the point 0 produces a zero row/column and
-    is rejected unless ``include_zero`` is set.  ``beta = 1`` gives exactly
-    twice the running-minimum covariance.
-    """
-    if not 0.0 < beta < 2.0:
-        raise BetaOutOfRangeError(f"beta must lie in (0, 2), got {beta}")
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("points must be a nonempty 1-d sequence")
-    _require_finite(x, "grid points")
-    if x.min() < 0.0:
-        raise NonPositivePointError("grid points must be nonnegative")
-    if x.max() <= 0.0:
-        raise NonPositivePointError("at least one grid point must be positive")
-    if not include_zero and (x == 0.0).any():
-        raise NonPositivePointError(
-            "the point 0 gives a singular covariance; pass include_zero=True"
-        )
-    if x.size > 1 and not (np.diff(x) > 0).all():
-        raise ValueError("grid points must be strictly increasing")
-    ax = np.abs(x)
-    return ax[:, None] ** beta + ax[None, :] ** beta - np.abs(x[:, None] - x[None, :]) ** beta
-
-
-def brownian_cov(points) -> np.ndarray:
-    """Running-minimum covariance ``G[i, j] = min(x_i, x_j)``.
-
-    Points must be finite, strictly positive and strictly increasing.
-    """
+def _grid(points) -> np.ndarray:
+    """``points`` as a finite, strictly positive, strictly increasing 1-d grid."""
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("points must be a nonempty 1-d sequence")
@@ -101,6 +70,29 @@ def brownian_cov(points) -> np.ndarray:
         raise NonPositivePointError("grid points must be strictly positive")
     if x.size > 1 and not (np.diff(x) > 0).all():
         raise ValueError("grid points must be strictly increasing")
+    return x
+
+
+def fbm_cov(points, beta: float) -> np.ndarray:
+    """Fractional-noise covariance ``|x|^b + |y|^b - |x-y|^b`` on a grid.
+
+    ``beta`` must lie in (0, 2) and ``points`` must be finite, strictly
+    positive and strictly increasing (the point 0 would give a zero
+    row/column).  ``beta = 1`` gives exactly twice the running-minimum
+    covariance.
+    """
+    if not 0.0 < beta < 2.0:
+        raise BetaOutOfRangeError(f"beta must lie in (0, 2), got {beta}")
+    x = _grid(points)
+    return x[:, None] ** beta + x[None, :] ** beta - np.abs(x[:, None] - x[None, :]) ** beta
+
+
+def brownian_cov(points) -> np.ndarray:
+    """Running-minimum covariance ``G[i, j] = min(x_i, x_j)``.
+
+    Points must be finite, strictly positive and strictly increasing.
+    """
+    x = _grid(points)
     return np.minimum(x[:, None], x[None, :])
 
 
@@ -231,11 +223,11 @@ class DyadicGrid:
     weights: np.ndarray
 
 
-_MAX_DYADIC_NODES = 200_000
+# G_n holds N x N float64 entries for N nodes: 2^13 nodes is 512 MiB.
+_MAX_DYADIC_NODES = 1 << 13
 
 
-def dyadic_discretize(cov, a: float, b: float, level: int,
-                      rel_tol: float = 1e-8):
+def dyadic_discretize(cov, a: float, b: float, level: int):
     """Column-weighted discretization of a kernel on the dyadic grid.
 
     ``G_n[k, l] = cov(x_k, x_l) * weights[l]`` (not symmetric: weights act
@@ -258,9 +250,7 @@ def dyadic_discretize(cov, a: float, b: float, level: int,
     nodes = np.arange(k0, k1 + 1, dtype=float) / scale
     density = measure_density(cov)
     h = 1.0 / scale
-    weights = np.array(
-        [adaptive_simpson(density, x, x + h, rel_tol=rel_tol) for x in nodes]
-    )
+    weights = np.array([adaptive_simpson(density, x, x + h) for x in nodes])
     grid = DyadicGrid(a=float(a), b=float(b), level=int(level), nodes=nodes,
                       weights=weights)
     G_n = cov(nodes[:, None], nodes[None, :]) * weights[None, :]

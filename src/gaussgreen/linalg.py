@@ -94,10 +94,6 @@ class Tolerances:
         scale = abs_max(M) if M.size else 0.0
         return self.eps_zero * max(1.0, scale)
 
-    def scaled(self, factor: float) -> "Tolerances":
-        """Copy with the zero band widened (or narrowed) by ``factor``."""
-        return Tolerances(eps_zero=min(self.eps_zero * factor, 0.5))
-
 
 DEFAULT_TOL = Tolerances()
 
@@ -127,10 +123,10 @@ def abs_max(M) -> float:
     return abs(float(max(M.max(), -M.min())))
 
 
-def as_covariance(G, name="covariance") -> np.ndarray:
+def as_covariance(G) -> np.ndarray:
     """Validate ``G`` as a square matrix that is symmetric within ``SYM_TOL``:
     ``|G_ij - G_ji| <= SYM_TOL * sqrt(|G_ii G_jj|)`` for every pair."""
-    A = as_square_matrix(G, name=name)
+    A = as_square_matrix(G, name="covariance")
     root = np.sqrt(np.abs(A.diagonal()))
     gap = np.subtract(A, A.T)
     np.abs(gap, out=gap)
@@ -141,8 +137,8 @@ def as_covariance(G, name="covariance") -> np.ndarray:
     if (gap > SYM_TOL).any():
         i, j = np.unravel_index(np.nanargmax(gap), A.shape)
         raise ValueError(
-            f"{name} is not symmetric: |{name}[{i},{j}] - {name}[{j},{i}]|"
-            f" = {abs(A[i, j] - A[j, i]):.3e}"
+            f"covariance is not symmetric: |covariance[{i},{j}] - "
+            f"covariance[{j},{i}]| = {abs(A[i, j] - A[j, i]):.3e}"
         )
     return A
 

@@ -227,8 +227,6 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
         else:
             flat[rows + states] = 1
         for _ in range(cap):
-            if rows.size == 0:
-                break
             r = _per_start(rngs, rows, edges, uniforms)
             r *= M
             # First j with r < cum[state, j]: the guide entry, then a walk

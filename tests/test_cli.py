@@ -153,6 +153,39 @@ class TestCmdCheck:
         assert doc["verdict"] == "indeterminate"
         assert doc["verdict_at_relaxed_tolerance"] != "not_id"
 
+    def test_bracket_failure_is_a_spectral_gap_witness(self, tmp_path):
+        # At this band the signature's S C S has a row sum u_i <= 0, so the
+        # certificate's bracket fails before any ratio is formed.
+        C = [[1, -0.307, 0.241, -0.114, 0.555],
+             [-0.307, 1, -0.428, -0.2, -0.112],
+             [0.241, -0.428, 1, 0.56, 0.199],
+             [-0.114, -0.2, 0.56, 1, 0.036],
+             [0.555, -0.112, 0.199, 0.036, 1]]
+        path, out = tmp_path / "c.csv", tmp_path / "report.json"
+        write_csv(path, C)
+        witness = {"kind": "m_matrix_failure", "reason": "spectral_gap",
+                   "entry": None, "value": None}
+        assert main(["check", "--input", str(path), "--eps", "0.45", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["verdict"], doc["witness"]) == ("not_id", witness)
+        assert main(["decompose", "--input", str(path), "--eps", "0.45", "--out", str(out)]) == 3
+        assert json.loads(out.read_text())["witness"] == witness
+
+    def test_format_reads_json_under_any_name(self, tmp_path):
+        src, txt = tmp_path / "m.json", tmp_path / "m.txt"
+        assert main(["zoo", "--family", "fbm", "--grid", "1,2,3", "--beta", "0.5",
+                     "--out", str(src)]) == 0
+        txt.write_bytes(src.read_bytes())
+        assert main(["check", "--input", str(txt)]) == 1
+        reports = []
+        for path, extra in ((src, []), (txt, ["--format", "json"])):
+            out = tmp_path / f"{path.stem}_{path.suffix[1:]}_check.json"
+            assert main(["check", "--input", str(path), *extra, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc.pop("input") == path.name
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
     def test_byte_identical_reports(self, min_kernel_csv, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["check", "--input", str(min_kernel_csv), "--out", str(out1)])
@@ -357,18 +390,25 @@ class TestCmdLaplace:
 class TestExitCodes:
     def test_invalid_chain_is_input_error_without_traceback(self, tmp_path):
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(
-            {"T": [[0.6, 0.6], [0.1, 0.1]], "kappa": [-0.2, 0.8], "c": 1.0}
-        ))
         src = str(Path(gaussgreen.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "gaussgreen.cli", "simulate", "--input", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "negative killing probability" in proc.stderr
+        # The second chain is a valid substochastic chain whose state 0
+        # never dies: I - T is singular, so no bound on rho(T) < 1 exists.
+        for chain, message in [
+            ({"T": [[0.6, 0.6], [0.1, 0.1]], "kappa": [-0.2, 0.8], "c": 1.0},
+             "negative killing probability"),
+            ({"T": [[1, 0], [0, 0.5]], "kappa": [0, 0.5], "c": 1},
+             "cannot certify spectral radius of T below 1"),
+        ]:
+            path.write_text(json.dumps(chain))
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaussgreen.cli", "simulate", "--input", str(path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert message in proc.stderr
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_numerical_failure_exits_four(self, min_kernel_csv, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -631,6 +671,26 @@ def test_check_report_tolerances_are_the_band_and_two_constants(min_kernel_csv, 
         "eps_psd": 1e-12, "eps_zero": float(eps), "sym_tol": 1e-08}
 
 
+@pytest.mark.parametrize("eps, bands", [(None, [1e-10, 1e-9]), ("0.3", [0.3, 0.5]),
+                                        ("0.9", [0.9])])
+def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
+        min_kernel_csv, tmp_path, monkeypatch, eps, bands):
+    seen = []
+
+    def recording(G, tol):
+        seen.append(tol.eps_zero)
+        return criteria.classify_green(G, tol)
+
+    monkeypatch.setattr(cli, "classify_green", recording)
+    out = tmp_path / "check.json"
+    argv = ["check", "--input", str(min_kernel_csv), "--out", str(out)]
+    assert main(argv + (["--eps", eps] if eps else [])) in (0, 2)
+    assert sorted(set(seen)) == pytest.approx(bands, rel=1e-15)
+    if len(bands) == 1:
+        doc = json.loads(out.read_text())
+        assert doc["verdict_at_relaxed_tolerance"] == doc["verdict"] != "indeterminate"
+
+
 def test_main_dispatches_through_rebound_commands(monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
     assert main(["check", "--input", "unread.csv"]) == 7
@@ -793,9 +853,12 @@ class TestCmdZoo:
          "scaling entries must be finite, got inf"),
         (["--family", "sheet", "--points", "1,2;3,1e400"],
          "sheet coordinates must be finite, got inf"),
+        (["--family", "fbm", "--grid", "0,1,2", "--beta", "0.5"],
+         "grid points must be strictly positive"),
     ])
     def test_non_finite_input_is_input_error(self, tmp_path, capsys, argv, message):
-        # NaN or Inf would otherwise reach the report as non-JSON tokens.
+        # NaN or Inf would otherwise reach the report as non-JSON tokens; the
+        # point 0 would give fBm a zero row.
         out = tmp_path / "m.json"
         assert main(["zoo", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

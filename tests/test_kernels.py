@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,15 @@ class TestFbmCov:
     def test_zero_point_needs_flag(self):
         with pytest.raises(NonPositivePointError):
             fbm_cov([0.0, 1.0], 0.5)
-        G = fbm_cov([0.0, 1.0], 0.5, include_zero=True)
-        assert G[0, 0] == 0.0
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, 2.0], [-1.0, 1.0], [1.0, 1.0],
+                                        [2.0, 1.0], [1.0, np.inf], [], [[1.0]]])
+    def test_grid_checks_match_brownian(self, points):
+        with pytest.raises(ValueError) as brownian:
+            brownian_cov(points)
+        message = re.escape(str(brownian.value))
+        with pytest.raises(type(brownian.value), match=f"^{message}$"):
+            fbm_cov(points, 0.5)
 
     def test_negative_point_rejected(self):
         with pytest.raises(NonPositivePointError):
@@ -267,8 +275,14 @@ class TestDyadicDiscretize:
         np.testing.assert_allclose(plain, plain.T, atol=1e-12)
 
     def test_memory_guard(self):
-        with pytest.raises(ValueError, match="memory guard"):
-            dyadic_discretize(np.minimum, 0.0, 10.0, 20)
+        # Level 10 on [0, 10] has 10,241 nodes, an 839 MB G_n.  The guard
+        # raises before the kernel is evaluated once.
+        def kernel(x, y):
+            raise AssertionError("kernel evaluated")
+
+        for level in (20, 10):
+            with pytest.raises(ValueError, match="memory guard"):
+                dyadic_discretize(kernel, 0.0, 10.0, level)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):

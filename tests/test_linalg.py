@@ -45,10 +45,6 @@ class TestTolerances:
         assert tol.zero_threshold(np.eye(2)) == pytest.approx(1e-10)
         assert tol.zero_threshold(100 * np.eye(2)) == pytest.approx(1e-8)
 
-    def test_scaled_widens_band(self):
-        tol = Tolerances()
-        assert Tolerances().scaled(10).eps_zero == pytest.approx(10 * tol.eps_zero)
-
 
 EMPTY_INPUT_CALLS = {
     "as_covariance": as_covariance,
