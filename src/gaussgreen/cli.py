@@ -305,10 +305,14 @@ def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
     cov = covariance(load_matrix(args.input, args.format))
     # The relaxed run goes first: only its kind is kept, so the two
-    # certificates (an n x n matrix each) are never held together.
-    relaxed_eps = max(args.eps, min(INDETERMINATE_FACTOR * args.eps, 0.5))
-    relaxed = classify_green(cov, Tolerances(eps_zero=relaxed_eps)).kind
+    # certificates (an n x n matrix each) are never held together.  A band
+    # capped at or below --eps is --eps itself, and is classified once.
+    relaxed_eps = min(INDETERMINATE_FACTOR * args.eps, 0.5)
+    relaxed = None
+    if relaxed_eps > args.eps:
+        relaxed = classify_green(cov, Tolerances(eps_zero=relaxed_eps)).kind
     cls = classify_green(cov, tol)
+    relaxed = relaxed or cls.kind
     verdict = cls.kind if cls.kind == relaxed else "indeterminate"
 
     margins = dict(cls.verdict.margins)

@@ -15,12 +15,13 @@ This module certifies or refutes that property with explicit witnesses:
   certifies :func:`is_id_square`.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
-  (essentially unique) signature or a contradiction cycle / entry witness.
+  (essentially unique) signature or a contradiction cycle witness.
 * :func:`is_id_square` composes the two into an infinite-divisibility
-  verdict; :func:`classify_green` further separates covariances that are
-  outright Green matrices of a killed Markov chain (row-sum dominance of
-  the inverse, no sign flips needed) from those that are only diagonal
-  rescalings of one.
+  verdict: it forms ``S C S`` once, and a negative entry of it is the
+  entry witness; :func:`classify_green` further separates covariances
+  that are outright Green matrices of a killed Markov chain (row-sum
+  dominance of the inverse, no sign flips needed) from those that are only
+  diagonal rescalings of one.
 
 Three-dimensional shortcut tests (:func:`triple_necessary`,
 :func:`triple_sufficient`) are included for cross-checks.
@@ -41,7 +42,6 @@ from .linalg import (
     as_square_matrix,
     covariance,
     eye_minus,
-    is_nonneg,
 )
 
 __all__ = [
@@ -127,8 +127,9 @@ class NoSignature:
     ``index`` points at the largest positive off-diagonal entry of ``C⁻¹``
     on that cycle, ``(G⁻¹)_ij sqrt(G_ii G_jj)``, which no signature removes.
 
-    ``reason == "entry"``: the propagated signature left an entry of
-    ``S C S`` at ``index`` below the zero band.
+    ``reason == "entry"``: :func:`is_id_square` found the entry of
+    ``S C S`` at ``index``, for the signature :func:`find_signature`
+    returned, below the zero band.
     """
 
     reason: str
@@ -245,14 +246,13 @@ def _contradiction_cycle(parents, i, j):
 
 
 def find_signature(G, tol: Tolerances = DEFAULT_TOL):
-    """Search for a sign vector making ``S G⁻¹ S`` off-diagonally nonpositive
-    and ``S G S`` entrywise nonnegative.
+    """Search for a sign vector making ``S G⁻¹ S`` off-diagonally nonpositive.
 
     The off-diagonal graph of ``A = C⁻¹``, which has the signs of ``G⁻¹``,
     forces ``s_i s_j = -sign(A_ij)`` along every edge; breadth-first
     propagation either assigns consistent signs per connected component
-    (free components get +1) or exhibits a contradiction cycle.  A
-    consistent assignment is then screened against ``S C S``.
+    (free components get +1) or exhibits a contradiction cycle.  Whether
+    ``S G S`` is nonnegative is left to :func:`is_id_square`.
 
     Parameters
     ----------
@@ -264,9 +264,9 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     Returns
     -------
     Signature or NoSignature
+        A :class:`NoSignature` here has ``reason == "cycle"``.
     """
-    cov = covariance(G)
-    C, A = cov.C, cov.inverse
+    A = covariance(G).inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
 
@@ -309,12 +309,7 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
             queue.extend(new.tolist())
         components.append(tuple(comp))
 
-    sig = Signature(signs=signs, components=tuple(components))
-    conjugated = sig.conjugate(C)
-    check = is_nonneg(conjugated, tol.zero_threshold(C))
-    if not check.ok:
-        return NoSignature("entry", index=check.index, value=check.min_value)
-    return sig
+    return Signature(signs=signs, components=tuple(components))
 
 
 def _worst_positive_edge(A, cycle):
@@ -341,14 +336,23 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     the verdict carries the winning signature plus certificate, or the
     witness that defeated every signature, along with the unitless margins
     the decision rested on.  A signature already makes the off-diagonals of
-    ``S C⁻¹ S`` nonpositive at the zero band :func:`is_m_matrix` uses, and
-    ``S C S`` nonnegative within its band, so ``u = S C S 𝟙`` takes the place
-    of that function's solve and only the Collatz–Wielandt bracket of ``u``
-    is left to check.
+    ``S C⁻¹ S`` nonpositive at the zero band :func:`is_m_matrix` uses.  The
+    one ``S C S`` formed here gives the rest: its most negative entry, below
+    its own zero band, is the ``"entry"`` witness, and otherwise
+    ``u = S C S 𝟙`` takes the place of that function's solve, so only the
+    Collatz–Wielandt bracket of ``u`` is left to check.
     """
     cov = covariance(G)
     sig = find_signature(cov, tol)
     thr = tol.zero_threshold(cov.inverse)
+    if isinstance(sig, Signature):
+        conj_cov = sig.conjugate(cov.C)
+        u = conj_cov.sum(axis=1)
+        k = int(np.argmin(conj_cov))
+        min_conj_cov = float(conj_cov.flat[k])
+        del conj_cov
+        if min_conj_cov < -tol.zero_threshold(cov.C):
+            sig = NoSignature("entry", divmod(k, u.size), min_conj_cov)
     if isinstance(sig, NoSignature):
         margins = {
             "zero_threshold": thr,
@@ -356,10 +360,6 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
         }
         return IdVerdict(False, witness=sig, margins=margins)
 
-    conj_cov = sig.conjugate(cov.C)
-    u = conj_cov.sum(axis=1)
-    min_conj_cov = float(conj_cov.min())
-    del conj_cov
     conj_inv = sig.conjugate(cov.inverse)
     margins = {
         "zero_threshold": thr,

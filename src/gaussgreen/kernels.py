@@ -232,7 +232,9 @@ def dyadic_discretize(cov, a: float, b: float, level: int):
 
     ``G_n[k, l] = cov(x_k, x_l) * weights[l]`` (not symmetric: weights act
     on columns only) and ``chi_n = G_n @ 1`` approximates the integral of
-    the kernel against the reference measure.
+    the kernel against the reference measure.  The weights scale the array
+    ``cov`` returns in place, so ``cov`` must return a new ``N x N`` array,
+    as a numpy ufunc such as ``np.minimum`` does.
 
     Returns ``(DyadicGrid, G_n, chi_n)``.
     """
@@ -253,7 +255,8 @@ def dyadic_discretize(cov, a: float, b: float, level: int):
     weights = np.array([adaptive_simpson(density, x, x + h) for x in nodes])
     grid = DyadicGrid(a=float(a), b=float(b), level=int(level), nodes=nodes,
                       weights=weights)
-    G_n = cov(nodes[:, None], nodes[None, :]) * weights[None, :]
+    G_n = cov(nodes[:, None], nodes[None, :])
+    G_n *= weights
     chi_n = G_n.sum(axis=1)
     return grid, G_n, chi_n
 

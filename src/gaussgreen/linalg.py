@@ -19,7 +19,6 @@ that factor, once for every later test and zero band; it needs only numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "SYM_TOL",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
-    "NonnegCheck",
     "Covariance",
     "as_square_matrix",
     "as_covariance",
@@ -40,7 +38,6 @@ __all__ = [
     "transience_bound",
     "eye_minus",
     "abs_max",
-    "is_nonneg",
 ]
 
 
@@ -96,14 +93,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-class NonnegCheck(NamedTuple):
-    """Outcome of an entrywise nonnegativity test."""
-
-    ok: bool
-    min_value: float
-    index: tuple[int, int]
 
 
 def as_square_matrix(M, name="matrix") -> np.ndarray:
@@ -317,14 +306,3 @@ def eye_minus(T, c=1.0, out=None) -> np.ndarray:
     out = np.subtract(c * 0.0, T, out=out)
     out.flat[:: T.shape[0] + 1] = diagonal
     return out
-
-
-def is_nonneg(A, eps_zero: float) -> NonnegCheck:
-    """Entrywise ``A >= -eps_zero`` with the worst offender reported."""
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return NonnegCheck(True, 0.0, (0, 0))
-    flat = int(np.argmin(A))
-    index = tuple(int(v) for v in np.unravel_index(flat, A.shape))
-    worst = float(A[index])
-    return NonnegCheck(worst >= -eps_zero, worst, index)

@@ -171,6 +171,25 @@ class TestCmdCheck:
         assert main(["decompose", "--input", str(path), "--eps", "0.45", "--out", str(out)]) == 3
         assert json.loads(out.read_text())["witness"] == witness
 
+    def test_negative_conjugated_covariance_is_an_entry_witness(self, tmp_path):
+        # Brownian on (1, 1 + 1e-9, 2), third sign flipped: at eps 1e-6 the
+        # coupling of the last two points hides below the band of C⁻¹, so
+        # the signature leaves S C S a -sqrt(1/2) entry there.
+        path, out = tmp_path / "close.csv", tmp_path / "report.json"
+        path.write_text("1.0,1.0,-1.0\n1.0,1.000000001,-1.000000001\n"
+                        "-1.0,-1.000000001,2.0\n")
+        witness = {"kind": "no_signature", "reason": "entry", "entry": [1, 2],
+                   "value": pytest.approx(-0.7071067815401009, rel=1e-12),
+                   "cycle": None}
+        argv = ["--input", str(path), "--eps", "1e-6", "--out", str(out)]
+        assert main(["check", *argv]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == doc["verdict_at_relaxed_tolerance"] == "not_id"
+        assert doc["witness"] == witness
+        assert set(doc["margins"]) == {"witness_value", "zero_threshold"}
+        assert main(["decompose", *argv]) == 3
+        assert json.loads(out.read_text())["witness"] == witness
+
     def test_format_reads_json_under_any_name(self, tmp_path):
         src, txt = tmp_path / "m.json", tmp_path / "m.txt"
         assert main(["zoo", "--family", "fbm", "--grid", "1,2,3", "--beta", "0.5",
@@ -671,7 +690,7 @@ def test_check_report_tolerances_are_the_band_and_two_constants(min_kernel_csv, 
         "eps_psd": 1e-12, "eps_zero": float(eps), "sym_tol": 1e-08}
 
 
-@pytest.mark.parametrize("eps, bands", [(None, [1e-10, 1e-9]), ("0.3", [0.3, 0.5]),
+@pytest.mark.parametrize("eps, bands", [(None, [1e-9, 1e-10]), ("0.3", [0.5, 0.3]),
                                         ("0.9", [0.9])])
 def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
         min_kernel_csv, tmp_path, monkeypatch, eps, bands):
@@ -685,7 +704,8 @@ def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
     out = tmp_path / "check.json"
     argv = ["check", "--input", str(min_kernel_csv), "--out", str(out)]
     assert main(argv + (["--eps", eps] if eps else [])) in (0, 2)
-    assert sorted(set(seen)) == pytest.approx(bands, rel=1e-15)
+    # The relaxed band runs first, and a band equal to --eps runs once.
+    assert seen == pytest.approx(bands, rel=1e-15)
     if len(bands) == 1:
         doc = json.loads(out.read_text())
         assert doc["verdict_at_relaxed_tolerance"] == doc["verdict"] != "indeterminate"

@@ -34,7 +34,6 @@ from gaussgreen.linalg import (
     Tolerances,
     cholesky,
     covariance,
-    is_nonneg,
 )
 from exact import band_dependent, exact_inverse, exact_verdict
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd, signature_product_around
@@ -259,7 +258,13 @@ class TestFindSignature:
         # the covariance coupling (-0.71 after the flip) does not.
         s = np.array([1.0, 1.0, -1.0])
         G = s[:, None] * brownian_cov([1.0, 1.000000001, 2.0]) * s[None, :]
-        wit = find_signature(G, Tolerances(eps_zero=1e-6))
+        # The sign search there leaves the third point a component of its
+        # own, and the certificate finds the negative entry of S C S.
+        tol = Tolerances(eps_zero=1e-6)
+        sig = find_signature(G, tol)
+        assert isinstance(sig, Signature)
+        assert tuple(sig.signs) == (1, 1, 1)
+        wit = is_id_square(G, tol).witness
         assert isinstance(wit, NoSignature)
         assert wit.reason == "entry"
         assert wit.index == (1, 2)
@@ -518,10 +523,9 @@ class TestBruteForceAgreement:
 
 def reference_find_signature(G, tol=Tolerances()):
     """Edge-at-a-time breadth-first sign propagation, the reference for the
-    vectorized frontier in :func:`find_signature`, on the same correlation
-    matrix ``C`` and inverse."""
-    cov = covariance(G)
-    C, A = cov.C, cov.inverse
+    vectorized frontier in :func:`find_signature`, on the same inverse
+    correlation matrix ``C⁻¹``."""
+    A = covariance(G).inverse
     n = A.shape[0]
     thr_a = tol.zero_threshold(A)
     adjacency = np.abs(A) > thr_a
@@ -549,11 +553,7 @@ def reference_find_signature(G, tol=Tolerances()):
                     culprit = _worst_positive_edge(A, cycle)
                     return NoSignature("cycle", culprit, float(A[culprit]), cycle)
         components.append(tuple(comp))
-    sig = Signature(signs=signs, components=tuple(components))
-    check = is_nonneg(sig.conjugate(C), tol.zero_threshold(C))
-    if not check.ok:
-        return NoSignature("entry", index=check.index, value=check.min_value)
-    return sig
+    return Signature(signs=signs, components=tuple(components))
 
 
 def test_vectorized_bfs_matches_reference():

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,16 @@ class TestDyadicDiscretize:
         grid, G_n, _ = dyadic_discretize(np.minimum, 1.0, 2.0, 3)
         plain = G_n / grid.weights[None, :]
         np.testing.assert_allclose(plain, plain.T, atol=1e-12)
+
+    def test_peak_memory_is_one_matrix(self):
+        # 513 nodes: the kernel's N x N array is scaled in place.
+        tracemalloc.start()
+        try:
+            _, G_n, _ = dyadic_discretize(np.minimum, 1.0, 3.0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * G_n.nbytes
 
     def test_memory_guard(self):
         # Level 10 on [0, 10] has 10,241 nodes, an 839 MB G_n.  The guard

@@ -23,7 +23,6 @@ from gaussgreen.linalg import (
     as_covariance,
     cholesky,
     invert,
-    is_nonneg,
     transience_bound,
 )
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd
@@ -274,22 +273,6 @@ class TestSpectralRadius:
         assert float(np.abs(np.linalg.eigvals(cert.B)).max()) == pytest.approx(oracle, rel=1e-9)
         assert cert.rho_lower - 1e-12 <= oracle <= cert.rho_upper + 1e-12
         assert oracle / 2.0 <= transience_bound(B / 2.0) + 1e-12 < 1.0
-
-
-class TestIsNonneg:
-    def test_identity(self):
-        assert is_nonneg(np.eye(2), 1e-12).ok
-
-    def test_reports_worst_entry(self):
-        check = is_nonneg(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1e-12)
-        assert not check.ok
-        assert check.min_value == -1.0
-        assert check.index in {(0, 1), (1, 0)}
-
-    def test_tolerance_semantics(self):
-        A = np.array([[-1e-14, 1.0], [1.0, 1.0]])
-        assert is_nonneg(A, 1e-12).ok
-        assert not is_nonneg(A, 1e-16).ok
 
 
 @settings(max_examples=30, deadline=None)
