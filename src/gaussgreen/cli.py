@@ -8,9 +8,10 @@ family parameter grid).
 
 Exit codes: 0 definite verdict / success, 1 input error (usage error, parse
 failure, matrix not positive definite, invalid chain file, report file that
-cannot be written), 2 indeterminate at the working tolerance,
-3 decomposition requested for a non-ID covariance, 4 internal numerical
-failure (a constructed decomposition violated one of its own identities).
+cannot be written, sizes that need more memory than can be allocated),
+2 indeterminate at the working tolerance, 3 decomposition requested for a
+non-ID covariance, 4 internal numerical failure (a constructed
+decomposition violated one of its own identities).
 
 All reports are JSON with sorted keys; identical configuration produces
 byte-identical output (timings never enter reports).  Indices in reports
@@ -31,7 +32,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .criteria import NoSignature, classify_green, is_id_square
+from .criteria import NoSignature, classify_green, find_signature, is_id_square
 from .decomposition import (
     NotInfinitelyDivisibleError,
     NumericalFailureError,
@@ -301,23 +302,79 @@ def _witness_dict(w) -> dict | None:
     }
 
 
+def _relaxed_kind(cov, cls, tol, wider):
+    """``classify_green(cov, wider).kind`` read off ``cls``, the
+    classification of ``cov`` at ``tol``, or ``None`` when the wider band
+    could change it.
+
+    A contradiction cycle whose edges all clear the wider band of ``C⁻¹``
+    stays in the wider sign graph, so the verdict stays ``not_id``.
+    Otherwise the band enters only where a value lies between the two zero
+    bands: an off-diagonal ``|C⁻¹_ij|``, which drops out of the sign graph
+    (harmless to an ID verdict whose signature the wider search returns
+    unchanged); the smallest entry of ``S C S``, which the entry test
+    compares against the band of ``C``; and, with the trivial signature,
+    the smallest row sum, which dominance compares against the band of
+    ``C⁻¹``.  With none of them the wider run forms the same signature and
+    bracket.  Thresholds come from the same matrices as in
+    ``classify_green`` (the working band of ``C⁻¹`` is the verdict's
+    ``zero_threshold``), so each comparison is the classifier's.
+    """
+    inv, verdict = cov.inverse, cls.verdict
+    thr, wide = verdict.margins["zero_threshold"], wider.zero_threshold(inv)
+    witness = verdict.witness
+    if isinstance(witness, NoSignature) and witness.reason == "cycle":
+        cycle = witness.cycle
+        edges = zip(cycle, cycle[1:] + cycle[:1])
+        return "not_id" if all(abs(inv[e]) > wide for e in edges) else None
+
+    # Edges that drop out of the wider sign graph, with boolean temporaries
+    # only.  The working signature still satisfies the edges left, so the
+    # wider search returns it unless a split-off component starts at a -1.
+    gap = (inv > thr) & (inv <= wide)
+    gap |= (inv < -thr) & (inv >= -wide)
+    np.fill_diagonal(gap, False)
+    if gap.any():
+        if not verdict.is_id:
+            return None
+        wide_signs = find_signature(cov, wider).signs
+        if not np.array_equal(wide_signs, verdict.signature.signs):
+            return None
+    if isinstance(witness, NoSignature):
+        min_conj_cov = witness.value
+    else:
+        min_conj_cov = verdict.margins["min_conjugated_covariance"]
+    if -wider.zero_threshold(cov.C) <= min_conj_cov < -tol.zero_threshold(cov.C):
+        return None
+    if (verdict.is_id and verdict.signature.is_trivial
+            and -wide <= cls.row_sums.min() < -thr):
+        return None
+    return cls.kind
+
+
 def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
     cov = covariance(load_matrix(args.input, args.format))
-    # The relaxed run goes first: only its kind is kept, so the two
-    # certificates (an n x n matrix each) are never held together.  A band
-    # capped at or below --eps is --eps itself, and is classified once.
-    relaxed_eps = min(INDETERMINATE_FACTOR * args.eps, 0.5)
-    relaxed = None
-    if relaxed_eps > args.eps:
-        relaxed = classify_green(cov, Tolerances(eps_zero=relaxed_eps)).kind
     cls = classify_green(cov, tol)
-    relaxed = relaxed or cls.kind
-    verdict = cls.kind if cls.kind == relaxed else "indeterminate"
-
     margins = dict(cls.verdict.margins)
     if cls.row_sums is not None:
         margins["min_row_sum"] = float(cls.row_sums.min())
+    signature = cls.verdict.signature
+    witness = _witness_dict(cls.verdict.witness)
+    # The relaxed verdict is read off the working classification unless a
+    # value the classifier compares lies between the two bands; only then
+    # is the covariance classified again, after the working certificate (an
+    # n x n matrix) is released.  A band capped at or below --eps is --eps.
+    relaxed_eps = min(INDETERMINATE_FACTOR * args.eps, 0.5)
+    kind = relaxed = cls.kind
+    if relaxed_eps > args.eps:
+        wider = Tolerances(eps_zero=relaxed_eps)
+        relaxed = _relaxed_kind(cov, cls, tol, wider)
+        if relaxed is None:
+            del cls
+            relaxed = classify_green(cov, wider).kind
+    verdict = kind if kind == relaxed else "indeterminate"
+
     doc = _meta("check/2", tol)
     doc.update(
         {
@@ -326,12 +383,8 @@ def cmd_check(args) -> int:
             "n": cov.G.shape[0],
             "verdict": verdict,
             "verdict_at_relaxed_tolerance": relaxed,
-            "signature": (
-                cls.verdict.signature.signs
-                if cls.verdict.signature is not None
-                else None
-            ),
-            "witness": _witness_dict(cls.verdict.witness),
+            "signature": signature.signs if signature is not None else None,
+            "witness": witness,
             "margins": margins,
         }
     )
@@ -609,6 +662,9 @@ def main(argv=None) -> int:
         return 1
     except (ParseError, SingularMatrixError, InvalidChainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
     except (NumericalFailureError, SymmetryViolationError) as err:
         print(f"error: internal numerical failure ({err})", file=sys.stderr)

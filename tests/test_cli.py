@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -9,14 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gaussgreen
 from gaussgreen import __version__, cli, criteria, decomposition, linalg
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
-from gaussgreen.kernels import brownian_cov, fbm_cov, sheet_counterexample
+from gaussgreen.kernels import brownian_cov, fbm_cov, random_green, sheet_counterexample
 from gaussgreen.simulate import ChainSpec, validate_chain
-from helpers import MIN_KERNEL
+from helpers import MIN_KERNEL, random_spd
 
 
 def write_csv(path, M, header=None):
@@ -445,6 +448,33 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
         assert "detailed balance violated at (0, 1)" in capsys.readouterr().err
 
+    def test_impossible_allocation_is_input_error(self, min_kernel_csv, tmp_path):
+        # Each size asks numpy for petabytes in one array; the address-space
+        # limit makes that fail at once on any host, before anything is used.
+        chain = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(min_kernel_csv), "--out", str(chain)]) == 0
+        src = str(Path(gaussgreen.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        limit = 4 << 30
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out = tmp_path / "rep.json"
+        for argv in (["zoo", "--family", "random-green", "--n", "100000000"],
+                     ["laplace", "--input", str(min_kernel_csv), "--t", "1,1,1",
+                      "--samples", "100000000000000"],
+                     ["simulate", "--input", str(chain), "--paths", "100000000000000"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaussgreen.cli", *argv, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+                preexec_fn=limit_address_space,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: Unable to allocate "), proc.stderr
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            assert not out.exists()
+
     @pytest.mark.parametrize("rate", ["NaN", "Infinity"])
     def test_non_finite_chain_rate_is_input_error(self, tmp_path, capsys, rate):
         path = tmp_path / "chain.json"
@@ -690,10 +720,8 @@ def test_check_report_tolerances_are_the_band_and_two_constants(min_kernel_csv, 
         "eps_psd": 1e-12, "eps_zero": float(eps), "sym_tol": 1e-08}
 
 
-@pytest.mark.parametrize("eps, bands", [(None, [1e-9, 1e-10]), ("0.3", [0.5, 0.3]),
-                                        ("0.9", [0.9])])
-def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
-        min_kernel_csv, tmp_path, monkeypatch, eps, bands):
+def record_classify_bands(monkeypatch):
+    """The zero bands ``check`` classifies at, in call order."""
     seen = []
 
     def recording(G, tol):
@@ -701,14 +729,108 @@ def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
         return criteria.classify_green(G, tol)
 
     monkeypatch.setattr(cli, "classify_green", recording)
+    return seen
+
+
+@pytest.mark.parametrize("eps, bands", [(None, [1e-10]), ("0.3", [0.3]), ("0.9", [0.9])])
+def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
+        min_kernel_csv, tmp_path, monkeypatch, eps, bands):
+    seen = record_classify_bands(monkeypatch)
     out = tmp_path / "check.json"
     argv = ["check", "--input", str(min_kernel_csv), "--out", str(out)]
-    assert main(argv + (["--eps", eps] if eps else [])) in (0, 2)
-    # The relaxed band runs first, and a band equal to --eps runs once.
-    assert seen == pytest.approx(bands, rel=1e-15)
-    if len(bands) == 1:
-        doc = json.loads(out.read_text())
-        assert doc["verdict_at_relaxed_tolerance"] == doc["verdict"] != "indeterminate"
+    assert main(argv + (["--eps", eps] if eps else [])) == 0
+    # No value the classifier compares lies between the two bands, so the
+    # relaxed verdict is read off the one classification at --eps.
+    assert seen == bands
+    doc = json.loads(out.read_text())
+    assert doc["verdict_at_relaxed_tolerance"] == doc["verdict"] == "green"
+
+
+def _borderline_graph():
+    # (C⁻¹)_02 lies between the bands: a contradiction cycle at 1e-10, green at 1e-9.
+    delta = 3e-10
+    return np.linalg.inv([[2.0, -1.0, delta], [-1.0, 2.0, -1.0], [delta, -1.0, 1.0]])
+
+
+def _borderline_row_sum():
+    # The last row sum of G⁻¹ lies between the bands: id_not_green at 1e-10,
+    # green at 1e-9.
+    M = np.linalg.inv([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0 - 3e-10]])
+    return 0.5 * (M + M.T)
+
+
+# At 0.03 the signature leaves S C S a -0.15 entry, which the band of 0.3 absorbs.
+_BORDERLINE_ENTRY = [[1.0, -0.89, -0.15], [-0.89, 1.0, 0.15], [-0.15, 0.15, 1.0]]
+# id_not_green at 0.1 with the signature (1, -1, -1); at 0.5 every edge of
+# the sign graph drops out, the signature is trivial and the verdict green.
+_BORDERLINE_SIGNATURE = [[1.0, -0.5, -0.4], [-0.5, 1.0, 0.6], [-0.4, 0.6, 1.0]]
+
+
+@pytest.mark.parametrize("G, eps, relaxed", [
+    (_borderline_graph(), 1e-10, "green"),
+    (_borderline_row_sum(), 1e-10, "green"),
+    (_BORDERLINE_ENTRY, 0.03, "id_not_green"),
+    (_BORDERLINE_SIGNATURE, 0.1, "green"),
+], ids=["sign_graph", "row_sum", "entry", "signature"])
+def test_check_classifies_again_when_a_value_lies_between_the_bands(
+        tmp_path, monkeypatch, G, eps, relaxed):
+    seen = record_classify_bands(monkeypatch)
+    path, out = tmp_path / "g.json", tmp_path / "check.json"
+    write_json_matrix(path, G)
+    assert main(["check", "--input", str(path), "--eps", str(eps), "--out", str(out)]) == 2
+    assert seen == pytest.approx([eps, min(10 * eps, 0.5)], rel=1e-15)
+    doc = json.loads(out.read_text())
+    assert (doc["verdict"], doc["verdict_at_relaxed_tolerance"]) == ("indeterminate", relaxed)
+
+
+@pytest.mark.parametrize("G, eps, runs", [
+    (sheet_counterexample()[1], 1e-10, 1),
+    # The cycle BFS meets first holds the edge (0, 1), which drops out of
+    # the relaxed sign graph; the triangle 0-2-3 still contradicts there.
+    (np.linalg.inv([[3.0, 0.1, -1.0, 0.5], [0.1, 3.0, -1.0, 0.0],
+                    [-1.0, -1.0, 3.0, -1.0], [0.5, 0.0, -1.0, 3.0]]), 0.01, 2),
+], ids=["strong_cycle", "cycle_edge_in_band"])
+def test_check_keeps_a_cycle_only_when_its_edges_clear_the_relaxed_band(
+        tmp_path, monkeypatch, G, eps, runs):
+    seen = record_classify_bands(monkeypatch)
+    path, out = tmp_path / "g.json", tmp_path / "check.json"
+    write_json_matrix(path, G)
+    assert main(["check", "--input", str(path), "--eps", str(eps), "--out", str(out)]) == 0
+    assert seen == pytest.approx([eps, 10 * eps][:runs], rel=1e-15)
+    doc = json.loads(out.read_text())
+    assert doc["witness"]["reason"] == "cycle"
+    assert doc["verdict"] == doc["verdict_at_relaxed_tolerance"] == "not_id"
+
+
+@st.composite
+def check_inputs(draw):
+    """Random SPD, sign-flipped ``random_green`` or fBm covariances, n = 2-8."""
+    n = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    family = draw(st.sampled_from(["spd", "green", "fbm"]))
+    if family == "spd":
+        G = random_spd(n, rng, shift=draw(st.sampled_from([0.05, 0.5])))
+    elif family == "green":
+        G = random_green(n, seed)[1]
+        s = rng.choice([-1.0, 1.0], size=n)
+        G = s[:, None] * G * s
+    else:
+        beta = draw(st.floats(0.01, 1.99))
+        G = fbm_cov(np.cumsum(rng.uniform(0.5, 1.5, size=n)), beta)
+    return G, draw(st.sampled_from([1e-10, 1e-6, 0.01, 0.3, 0.45]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=check_inputs())
+def test_relaxed_verdict_is_that_of_a_full_run_at_the_relaxed_band(tmp_path, case):
+    G, eps = case
+    path, out = tmp_path / "g.json", tmp_path / "check.json"
+    write_json_matrix(path, G)
+    assert main(["check", "--input", str(path), "--eps", str(eps), "--out", str(out)]) in (0, 2)
+    relaxed = criteria.classify_green(G, linalg.Tolerances(min(10 * eps, 0.5))).kind
+    assert json.loads(out.read_text())["verdict_at_relaxed_tolerance"] == relaxed
 
 
 def test_main_dispatches_through_rebound_commands(monkeypatch):
