@@ -267,11 +267,14 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
         A :class:`NoSignature` here has ``reason == "cycle"``.
     """
     A = covariance(G).inverse
-    n = A.shape[0]
-    thr_a = tol.zero_threshold(A)
+    return _find_signature(A, tol.zero_threshold(A))
 
-    adjacency = A > thr_a
-    adjacency |= A < -thr_a
+
+def _find_signature(A, thr):
+    """:func:`find_signature` on ``A = C⁻¹`` with its zero band ``thr``."""
+    n = A.shape[0]
+    adjacency = A > thr
+    adjacency |= A < -thr
     np.fill_diagonal(adjacency, False)
     forced_sign = np.sign(A, out=np.empty(A.shape, np.int8), casting="unsafe")
     np.negative(forced_sign, out=forced_sign)
@@ -343,8 +346,8 @@ def is_id_square(G, tol: Tolerances = DEFAULT_TOL) -> IdVerdict:
     Collatz–Wielandt bracket of ``u`` is left to check.
     """
     cov = covariance(G)
-    sig = find_signature(cov, tol)
     thr = tol.zero_threshold(cov.inverse)
+    sig = _find_signature(cov.inverse, thr)
     if isinstance(sig, Signature):
         conj_cov = sig.conjugate(cov.C)
         u = conj_cov.sum(axis=1)

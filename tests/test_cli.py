@@ -880,6 +880,15 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
         "rows": [np.array([1.0, 2.0]), np.array([3.0]), [4.0]],
         "nested": {"list": [[1.0, 2.0], [3.0, 4.0]], "array": np.eye(2)},
     }
+    # Rows past a block boundary of the float writer, and blocks holding a
+    # signed zero (written by the kernel) or a subnormal, NaN and infinity
+    # (written by the C encoder).
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal((100, 100)) * 10.0 ** rng.integers(-20, 20, (100, 100))
+    assert big.size > cli._BLOCK
+    big[3, 5], big[4, :3] = -0.0, 0.0
+    big[90, 1], big[95, 2], big[99, 3], big[99, 4] = 5e-324, np.nan, np.inf, -np.inf
+    arrays["big"] = big
     as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in arrays.items()}
     as_lists["rows"] = [[1.0, 2.0], [3.0], [4.0]]
     as_lists["nested"] = {"list": [[1.0, 2.0], [3.0, 4.0]], "array": np.eye(2).tolist()}

@@ -694,3 +694,22 @@ def test_public_entry_points_validate_their_input(entries, message):
     for fn in (cholesky, find_signature, is_id_square, classify_green, decompose):
         with pytest.raises(ValueError, match=message):
             fn(np.array(entries))
+
+
+def test_classify_green_takes_each_zero_band_once(monkeypatch):
+    # One band of C⁻¹ serves the sign search, the margins and the row-sum
+    # test, and one band of C the entry test.
+    seen = []
+    zero_threshold = Tolerances.zero_threshold
+
+    def recorded(self, M):
+        seen.append(id(M))
+        return zero_threshold(self, M)
+
+    cov = covariance(fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5))
+    expected = classify_green(cov)
+    monkeypatch.setattr(Tolerances, "zero_threshold", recorded)
+    cls = classify_green(cov)
+    assert sorted(seen) == sorted([id(cov.inverse), id(cov.C)])
+    assert cls.kind == expected.kind == "green"
+    assert cls.verdict.margins == expected.verdict.margins
