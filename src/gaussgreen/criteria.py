@@ -12,7 +12,8 @@ This module certifies or refutes that property with explicit witnesses:
   nonsingular M-matrix, and the Collatz–Wielandt ratios ``(B u)_i / u_i``
   enclose ``rho(B)``; a ``u_i <= 0`` is the witness against it.  The same
   bracket, fed ``u = S C S 𝟙`` for the correlation matrix ``C`` of ``G``,
-  certifies :func:`is_id_square`.
+  certifies :func:`is_id_square`; fed ``x = (I - T)⁻¹ 𝟙`` for a killed
+  chain's ``T``, it gives :func:`transience_bound` on ``rho(T)``.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle witness.
@@ -57,6 +58,7 @@ __all__ = [
     "triple_necessary",
     "triple_sufficient",
     "classify_green",
+    "transience_bound",
 ]
 
 
@@ -92,7 +94,8 @@ class MMatrixCert:
     vector ``u`` with ``A u > 0`` beyond rounding, and the bracket
     ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
     :func:`is_m_matrix` gives ``u ≈ A⁻¹ diag(A)``; :func:`is_id_square`
-    certifies ``A = S C⁻¹ S`` with ``u = S C S 𝟙``, so there ``A u = 𝟙``.
+    certifies ``A = S C⁻¹ S`` with ``u = S C S 𝟙``, so there ``A u = 𝟙``;
+    :func:`transience_bound` certifies ``A = I - T`` with ``u ≈ A⁻¹ 𝟙``.
     """
 
     c: float
@@ -206,8 +209,8 @@ def _bracket(A, u):
     the bound itself.
     """
     if u.min() <= 0.0:
-        # No positive vector to bound rho(B) with; only zero-band noise in
-        # the conjugated covariance can get here.
+        # No positive vector to bound rho(B) with: zero-band noise in S C S,
+        # or a solve of (I - T) x = 1 for a T that is not transient.
         return MMatrixFailure("spectral_gap", None, None)
     c = float(A.diagonal().max())
     # |A| u first, so that the buffer of |A| then holds B = c I - A.
@@ -229,6 +232,23 @@ def _bracket(A, u):
         rho_lower=rho_lower,
         rho_upper=rho_upper,
     )
+
+
+def transience_bound(T) -> float:
+    """Certified upper bound on ``rho(T)``, ``T`` clipped at 0 as a chain is
+    simulated: the bracket of :func:`is_m_matrix` certifies ``I - T = c I - B``
+    from the solve ``x`` of ``(I - T) x = 𝟙``, and ``rho_upper + 1 - c`` is
+    then ``max_i (T x)_i / x_i < 1``; ``inf`` when the solve or bracket fails."""
+    A = np.clip(as_square_matrix(T), 0.0, None)
+    eye_minus(A, out=A)
+    try:
+        x = np.linalg.solve(A, np.ones(A.shape[0]))
+    except np.linalg.LinAlgError:
+        return np.inf
+    cert = _bracket(A, x)
+    if isinstance(cert, MMatrixFailure):
+        return np.inf
+    return cert.rho_upper + 1.0 - cert.c
 
 
 def _contradiction_cycle(parents, i, j):

@@ -35,7 +35,6 @@ __all__ = [
     "covariance",
     "cholesky",
     "invert",
-    "transience_bound",
     "eye_minus",
     "abs_max",
 ]
@@ -277,26 +276,6 @@ def _tril_inverse(L) -> np.ndarray:
     np.matmul(Dinv, L[h:, :h] @ Pinv, out=block)
     np.negative(block, out=block)
     return out
-
-
-def transience_bound(T) -> float:
-    """Certified upper bound on ``rho(T)`` for entrywise nonnegative ``T``.
-
-    Solves ``(I - T) x = 𝟙``.  When ``x > 0``, ``T x = x - 𝟙`` gives
-    ``(T x)_i / x_i = 1 - 1/x_i``, so the Collatz–Wielandt bound yields
-    ``rho(T) <= 1 - 1/max(x) < 1``.  Conversely ``rho(T) < 1`` forces
-    ``x = sum_k T^k 𝟙 >= 𝟙``, so a singular system or a nonpositive ``x``
-    means ``T`` is not transient; the bound is then ``inf``.
-    """
-    T = as_square_matrix(T)
-    n = T.shape[0]
-    try:
-        x = np.linalg.solve(eye_minus(T), np.ones(n))
-    except np.linalg.LinAlgError:
-        return np.inf
-    if not (x > 0.0).all():
-        return np.inf
-    return 1.0 - 1.0 / float(x.max())
 
 
 def eye_minus(T, c=1.0, out=None) -> np.ndarray:

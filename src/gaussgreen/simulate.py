@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    as_square_matrix,
-    cholesky,
-    transience_bound,
-)
+from .criteria import transience_bound
+from .linalg import DEFAULT_TOL, as_square_matrix, cholesky
 
 __all__ = [
     "ChainSpec",
@@ -65,8 +61,9 @@ def validate_chain(chain: ChainSpec) -> float:
     Entries of ``T`` and ``kappa`` inside the default zero band of ``T``
     count as zero, whatever band a verdict on the covariance used.
 
-    Returns the certified bound ``rho(T) <= 1 - 1/max(x) < 1`` with
-    ``(I - T) x = 𝟙`` (see :func:`~gaussgreen.linalg.transience_bound`).
+    Returns ``rho(T) <= max_i (T x)_i / x_i < 1``, ``(I - T) x = 𝟙``, for
+    ``T`` clipped at 0 as it is simulated: the M-matrix bracket's third user,
+    :func:`~gaussgreen.criteria.transience_bound`, certifies ``I - T``.
     """
     T = as_square_matrix(chain.T, name="transition matrix")
     kappa = np.asarray(chain.kappa, dtype=float)

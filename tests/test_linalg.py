@@ -12,6 +12,7 @@ from gaussgreen.criteria import (
     find_signature,
     is_id_square,
     is_m_matrix,
+    transience_bound,
 )
 from gaussgreen.decomposition import decompose
 from gaussgreen.kernels import scale_conjugate
@@ -23,7 +24,6 @@ from gaussgreen.linalg import (
     as_covariance,
     cholesky,
     invert,
-    transience_bound,
 )
 from helpers import MIN_KERNEL, MIN_KERNEL_INV, random_spd
 

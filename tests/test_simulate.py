@@ -63,6 +63,46 @@ class TestValidateChain:
         with pytest.raises(InvalidChainError, match="shape"):
             validate_chain(chain)
 
+    # rho(T) = 1 exactly: states 0 and 1 form a closed class, and only state
+    # 2, which no state enters, can die.  Rounding makes the solve of
+    # (I - T) x = 1 come out positive, so x > 0 alone certifies nothing, and
+    # simulating on such a bound does not end.
+    CLOSED_3 = ChainSpec(
+        T=np.array([[0.125, 0.875, 0.0], [0.8125, 0.1875, 0.0], [0.25, 0.25, 0.0]]),
+        kappa=np.array([0.0, 0.0, 0.5]),
+    )
+
+    def test_closed_class_rejected(self):
+        with pytest.raises(InvalidChainError, match="cannot certify spectral radius of T below 1"):
+            validate_chain(self.CLOSED_3)
+
+    def test_dyadic_closed_classes_rejected(self):
+        # 2,000 chains with rho(T) = 1 exactly: a closed class of k states
+        # whose rows are integer weights, one raised so the total is the
+        # next power of two, divided by it (so every entry and every 1 - T_ii
+        # is exact), plus a killing state that jumps 0.5 / k to each.  On 656
+        # of them the solve of (I - T) x = 1 comes out positive anyway.
+        rng = np.random.default_rng(5)
+        certified = 0
+        for _ in range(2000):
+            k = int(rng.integers(2, 9))
+            T = np.zeros((k + 1, k + 1))
+            for i in range(k):
+                w = rng.integers(0, 8, size=k)
+                total = int(w.sum())
+                power = 1 << max(0, total - 1).bit_length()
+                w[rng.integers(k)] += power - total
+                T[i, :k] = w / power
+            T[k, :k] = 0.5 / k
+            kappa = np.zeros(k + 1)
+            kappa[k] = 0.5
+            try:
+                validate_chain(ChainSpec(T, kappa))
+                certified += 1
+            except InvalidChainError as err:
+                assert str(err) == "cannot certify spectral radius of T below 1"
+        assert certified == 0
+
 
 class TestSimulateGreen:
     def test_instant_killing_gives_identity(self):
