@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from . import __version__, floatrepr
-from .criteria import NoSignature, classify_green, find_signature, is_id_square
+from .criteria import NoSignature, classify_green, is_id_square, relaxed_kind
 from .decomposition import (
     NotInfinitelyDivisibleError,
     NumericalFailureError,
@@ -333,74 +333,22 @@ def _witness_dict(w) -> dict | None:
     }
 
 
-def _relaxed_kind(cov, cls, tol, wider):
-    """``classify_green(cov, wider).kind`` read off ``cls``, the
-    classification of ``cov`` at ``tol``, or ``None`` when the wider band
-    could change it.
-
-    A contradiction cycle whose edges all clear the wider band of ``C⁻¹``
-    stays in the wider sign graph, so the verdict stays ``not_id``.
-    Otherwise the band enters only where a value lies between the two zero
-    bands: an off-diagonal ``|C⁻¹_ij|``, which drops out of the sign graph
-    (harmless to an ID verdict whose signature the wider search returns
-    unchanged); the smallest entry of ``S C S``, which the entry test
-    compares against the band of ``C``; and, with the trivial signature,
-    the smallest row sum, which dominance compares against the band of
-    ``C⁻¹``.  With none of them the wider run forms the same signature and
-    bracket.  Thresholds come from the same matrices as in
-    ``classify_green`` (the working band of ``C⁻¹`` is the verdict's
-    ``zero_threshold``), so each comparison is the classifier's.
-    """
-    inv, verdict = cov.inverse, cls.verdict
-    thr, wide = verdict.margins["zero_threshold"], wider.zero_threshold(inv)
-    witness = verdict.witness
-    if isinstance(witness, NoSignature) and witness.reason == "cycle":
-        cycle = witness.cycle
-        edges = zip(cycle, cycle[1:] + cycle[:1])
-        return "not_id" if all(abs(inv[e]) > wide for e in edges) else None
-
-    # Edges that drop out of the wider sign graph, with boolean temporaries
-    # only.  The working signature still satisfies the edges left, so the
-    # wider search returns it unless a split-off component starts at a -1.
-    gap = (inv > thr) & (inv <= wide)
-    gap |= (inv < -thr) & (inv >= -wide)
-    np.fill_diagonal(gap, False)
-    if gap.any():
-        if not verdict.is_id:
-            return None
-        wide_signs = find_signature(cov, wider).signs
-        if not np.array_equal(wide_signs, verdict.signature.signs):
-            return None
-    if isinstance(witness, NoSignature):
-        min_conj_cov = witness.value
-    else:
-        min_conj_cov = verdict.margins["min_conjugated_covariance"]
-    if -wider.zero_threshold(cov.C) <= min_conj_cov < -tol.zero_threshold(cov.C):
-        return None
-    if (verdict.is_id and verdict.signature.is_trivial
-            and -wide <= cls.row_sums.min() < -thr):
-        return None
-    return cls.kind
-
-
 def cmd_check(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
     cov = covariance(load_matrix(args.input, args.format))
     cls = classify_green(cov, tol)
-    margins = dict(cls.verdict.margins)
-    if cls.row_sums is not None:
-        margins["min_row_sum"] = float(cls.row_sums.min())
+    margins = cls.verdict.margins
     signature = cls.verdict.signature
     witness = _witness_dict(cls.verdict.witness)
-    # The relaxed verdict is read off the working classification unless a
-    # value the classifier compares lies between the two bands; only then
-    # is the covariance classified again, after the working certificate (an
-    # n x n matrix) is released.  A band capped at or below --eps is --eps.
+    # The relaxed verdict is read off the working classification where it
+    # can be; otherwise the covariance is classified again, after the
+    # working certificate (an n x n matrix) is released.  A band capped at
+    # or below --eps is --eps.
     relaxed_eps = min(INDETERMINATE_FACTOR * args.eps, 0.5)
     kind = relaxed = cls.kind
     if relaxed_eps > args.eps:
         wider = Tolerances(eps_zero=relaxed_eps)
-        relaxed = _relaxed_kind(cov, cls, tol, wider)
+        relaxed = relaxed_kind(cov, cls, wider)
         if relaxed is None:
             del cls
             relaxed = classify_green(cov, wider).kind

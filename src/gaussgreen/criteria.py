@@ -22,7 +22,8 @@ This module certifies or refutes that property with explicit witnesses:
   entry witness; :func:`classify_green` further separates covariances
   that are outright Green matrices of a killed Markov chain (row-sum
   dominance of the inverse, no sign flips needed) from those that are only
-  diagonal rescalings of one.
+  diagonal rescalings of one, and :func:`relaxed_kind` reads the
+  classification at a wider zero band off one already made.
 
 Three-dimensional shortcut tests (:func:`triple_necessary`,
 :func:`triple_sufficient`) are included for cross-checks.
@@ -58,6 +59,7 @@ __all__ = [
     "triple_necessary",
     "triple_sufficient",
     "classify_green",
+    "relaxed_kind",
     "transience_bound",
 ]
 
@@ -454,7 +456,8 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
     signature *and* has nonnegative row sums; then ``G`` itself is the
     visit-count matrix of a killed Markov chain.  Covariances with an
     infinitely divisible square that miss either extra condition are
-    ``id_not_green``.  ``row_sums = C⁻¹ d / max(d)`` has the signs of ``G⁻¹ 𝟙``.
+    ``id_not_green``.  ``row_sums = C⁻¹ d / max(d)`` has the signs of ``G⁻¹ 𝟙``;
+    an ID verdict's margins carry its least entry as ``min_row_sum``.
     """
     cov = covariance(G)
     verdict = is_id_square(cov, tol)
@@ -462,11 +465,56 @@ def classify_green(G, tol: Tolerances = DEFAULT_TOL) -> GreenClassification:
         return GreenClassification("not_id", verdict)
 
     row_sums = cov.inverse @ (cov.d / cov.d.max())
+    verdict.margins["min_row_sum"] = float(row_sums.min())
     # A nontrivial signature can only arise from a positive off-diagonal of
     # C^-1, which the direct M-matrix test would reject; with the trivial
     # one the verdict's certificate is that of C^-1 itself.
     if not verdict.signature.is_trivial:
         return GreenClassification("id_not_green", verdict, row_sums)
-    dominant = row_sums.min() >= -verdict.margins["zero_threshold"]
+    dominant = verdict.margins["min_row_sum"] >= -verdict.margins["zero_threshold"]
     kind = "green" if dominant else "id_not_green"
     return GreenClassification(kind, verdict, row_sums)
+
+
+def relaxed_kind(G, cls: GreenClassification, wider: Tolerances) -> str | None:
+    """``classify_green(G, wider).kind`` read off ``cls``, the classification
+    of ``G`` at a narrower band, or ``None`` when ``cls`` cannot tell it.
+
+    A wider band only widens what counts as zero, so every test ``cls``
+    passed still passes.  A contradiction cycle whose edges all clear the
+    wider band of ``C⁻¹`` stays in the wider sign graph.  Otherwise the
+    verdict carries over unless an off-diagonal of ``C⁻¹`` lies between the
+    bands (harmless to an ID verdict whose signature the sign search at the
+    wider band returns unchanged), an ``"entry"`` witness lies within the
+    wider band of ``C``, or an ``id_not_green`` verdict with the trivial
+    signature has its ``min_row_sum`` within the wider band of ``C⁻¹``.
+
+    Raises ``ValueError`` unless ``wider``'s band of ``C⁻¹`` is wider than
+    ``cls``'s ``zero_threshold``.
+    """
+    cov = covariance(G)
+    inv, verdict = cov.inverse, cls.verdict
+    thr, wide = verdict.margins["zero_threshold"], wider.zero_threshold(inv)
+    if wide <= thr:
+        raise ValueError(f"relaxed band {wide!r} of C^-1 is not wider than {thr!r}")
+    witness = verdict.witness
+    if isinstance(witness, NoSignature) and witness.reason == "cycle":
+        cycle = witness.cycle
+        edges = zip(cycle, cycle[1:] + cycle[:1])
+        return "not_id" if all(abs(inv[e]) > wide for e in edges) else None
+
+    # Edges that drop out of the wider sign graph, with boolean temporaries
+    # only.  The signature still satisfies the edges left, so the wider
+    # search returns it unless a split-off component starts at a -1.
+    gap = (inv > thr) & (inv <= wide)
+    gap |= (inv < -thr) & (inv >= -wide)
+    np.fill_diagonal(gap, False)
+    if gap.any() and not (verdict.is_id and np.array_equal(
+            _find_signature(inv, wide).signs, verdict.signature.signs)):
+        return None
+    if isinstance(witness, NoSignature) and witness.value >= -wider.zero_threshold(cov.C):
+        return None
+    if (cls.kind == "id_not_green" and verdict.signature.is_trivial
+            and verdict.margins["min_row_sum"] >= -wide):
+        return None
+    return cls.kind

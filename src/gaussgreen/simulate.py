@@ -178,15 +178,16 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
     rho = validate_chain(chain)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    T = np.clip(np.asarray(chain.T, dtype=float), 0.0, None)
-    n = T.shape[0]
+    n = chain.n
     # Columns n and up are the cemetery: a uniform at or above the row's
     # survival probability cum[s, n - 1] lands there and kills the path.
     # Rows are M wide, so a state's row starts at the same flat offset
-    # state * M in cum and in the guide table.
+    # state * M in cum and in the guide table.  T, clipped at 0 as
+    # validate_chain certified it, is summed in the rows it is clipped into.
     M = _guide_width(n)
     cum = np.full((n, M), np.inf)
-    np.cumsum(T, axis=1, out=cum[:, :n])
+    np.clip(chain.T, 0.0, None, out=cum[:, :n])
+    np.cumsum(cum[:, :n], axis=1, out=cum[:, :n])
     guide = _guide_table(cum)
     # Uniforms are scaled by M in place and compared with cum * M: both
     # products are exact, since M is a power of two.
@@ -358,7 +359,10 @@ def laplace_mc(L: np.ndarray, t: np.ndarray, n_samples: int, seed) -> SimReport:
     public name so that the benchmark times it as its own layer function.
     """
     x = np.random.default_rng(seed).standard_normal((int(n_samples), L.shape[0])) @ L.T
+    # A column at a rate of 0 weighs nothing, even where its square would
+    # overflow (inf * 0 is NaN).
+    x[:, t == 0.0] = 0.0
     with np.errstate(over="ignore"):  # an infinite exponent gives exp(-inf) = 0
-        values = np.exp(-0.5 * (x**2) @ t)
+        values = np.exp(-0.5 * np.square(x, out=x) @ t)
     stderr = float(values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return SimReport(float(values.mean()), stderr, int(n_samples), int(seed))

@@ -761,6 +761,24 @@ def test_check_relaxed_band_is_ten_times_wider_capped_never_narrower(
     assert doc["verdict_at_relaxed_tolerance"] == doc["verdict"] == "green"
 
 
+@pytest.mark.parametrize("eps, bands", [(None, [1e-10, 1e-10, 1e-9]), ("0.3", [0.3, 0.3, 0.5])])
+def test_check_takes_three_zero_bands(min_kernel_csv, tmp_path, monkeypatch, eps, bands):
+    # The bands of C⁻¹ and of C at --eps, then the relaxed band of C⁻¹, which
+    # also serves the sign search at 0.3, where |C⁻¹_01| = √2 lies between
+    # the bands.
+    seen = []
+    zero_threshold = linalg.Tolerances.zero_threshold
+
+    def recorded(self, M):
+        seen.append(self.eps_zero)
+        return zero_threshold(self, M)
+
+    monkeypatch.setattr(linalg.Tolerances, "zero_threshold", recorded)
+    argv = ["check", "--input", str(min_kernel_csv), "--out", str(tmp_path / "check.json")]
+    assert main(argv + (["--eps", eps] if eps else [])) == 0
+    assert seen == pytest.approx(bands, rel=1e-15)
+
+
 def _borderline_graph():
     # (C⁻¹)_02 lies between the bands: a contradiction cycle at 1e-10, green at 1e-9.
     delta = 3e-10
@@ -844,8 +862,11 @@ def test_relaxed_verdict_is_that_of_a_full_run_at_the_relaxed_band(tmp_path, cas
     path, out = tmp_path / "g.json", tmp_path / "check.json"
     write_json_matrix(path, G)
     assert main(["check", "--input", str(path), "--eps", str(eps), "--out", str(out)]) in (0, 2)
-    relaxed = criteria.classify_green(G, linalg.Tolerances(min(10 * eps, 0.5))).kind
+    cov, wider = linalg.covariance(G), linalg.Tolerances(min(10 * eps, 0.5))
+    relaxed = criteria.classify_green(cov, wider).kind
     assert json.loads(out.read_text())["verdict_at_relaxed_tolerance"] == relaxed
+    cls = criteria.classify_green(cov, linalg.Tolerances(eps))
+    assert criteria.relaxed_kind(cov, cls, wider) in (None, relaxed)
 
 
 def test_main_dispatches_through_rebound_commands(monkeypatch):

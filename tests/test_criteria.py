@@ -18,6 +18,7 @@ from gaussgreen.criteria import (
     find_signature,
     is_id_square,
     is_m_matrix,
+    relaxed_kind,
     triple_necessary,
     triple_sufficient,
 )
@@ -713,3 +714,15 @@ def test_classify_green_takes_each_zero_band_once(monkeypatch):
     assert sorted(seen) == sorted([id(cov.inverse), id(cov.C)])
     assert cls.kind == expected.kind == "green"
     assert cls.verdict.margins == expected.verdict.margins
+    assert cls.verdict.margins["min_row_sum"] == float(cls.row_sums.min())
+    # The relaxed verdict adds the wider band of C⁻¹ alone.
+    del seen[:]
+    assert relaxed_kind(cov, cls, Tolerances(1e-9)) == "green"
+    assert seen == [id(cov.inverse)]
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-11])
+def test_relaxed_kind_needs_a_wider_band(eps):
+    cov = covariance(MIN_KERNEL)
+    with pytest.raises(ValueError, match="not wider"):
+        relaxed_kind(cov, classify_green(cov), Tolerances(eps))

@@ -235,6 +235,12 @@ class TestLaplaceExact:
         for t, want in [([1e300, 1e300], 1e-300 / np.sqrt(99e18)),
                         ([1e300, 0.0], 1e-155), ([0.0, 1e300], 1e-155)]:
             assert exact_only(G, t) == pytest.approx(want, rel=1e-6, abs=0.0)
+            # Each sample's exponent overflows to -inf: exp gives 0, not NaN.
+            assert laplace(G, t, 100, seed=0)[1].estimate == 0.0
+        # A square past the float range at a rate of 0 weighs nothing.
+        exact, mc = laplace(np.diag([1e308, 1.0]), [0.0, 1.0], 1000, seed=1)
+        assert exact == pytest.approx(0.5**0.5, rel=1e-15)
+        assert abs(mc.estimate - exact) < 3.0 * mc.stderr
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(12)
