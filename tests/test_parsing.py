@@ -231,7 +231,7 @@ def test_benchmark_csv_needs_neither_loadtxt_nor_the_reference(tmp_path, monkeyp
 
 
 def test_csv_read_peaks_below_two_matrices(tmp_path):
-    # The block reader holds the matrix and one block's temporaries, 1.44
+    # The block reader holds the matrix and one block's temporaries, 1.39
     # matrices at n = 600; the list of lines it replaced put the peak at 3.6.
     n = 600
     path = tmp_path / "fbm.csv"
