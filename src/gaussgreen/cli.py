@@ -116,7 +116,7 @@ def _read_lines(fh) -> list[str]:
 _CSV_MIN = 12 << 10
 _CSV_BLOCK = 1 << 17
 # Bytes kept before each block: parse_fields reads back that far from a field.
-_CSV_PAD = 24
+_CSV_PAD = floatrepr.PARSE_PAD
 
 
 def _matrix_from_csv(path: str) -> np.ndarray:
@@ -165,7 +165,7 @@ def _csv_blocks(fh) -> np.ndarray | None:
         newline = block == np.uint8(ord("\n"))
         other &= ~newline
         other &= (block | np.uint8(0x20)) != np.uint8(ord("e"))
-        if other.any() or (block == np.uint8(ord("/"))).any():
+        if other.any():
             return None
         newline |= block == np.uint8(ord(","))
         seps = np.flatnonzero(newline)

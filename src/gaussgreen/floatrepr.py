@@ -319,6 +319,8 @@ def join_rows(M, sep: str) -> list[str] | None:
 _Q_MIN, _Q_MAX = -342, 308
 # Bytes of a field's significand read as digits: three 64-bit words.
 _WIDTH_IN = 24
+# Bytes that parse_fields may read before the first field.
+PARSE_PAD = _WIDTH_IN
 # Byte constants of the SWAR tests.
 _ONES = _U64(0x0101010101010101)
 _HIGHS = _U64(0x8080808080808080)
@@ -369,16 +371,12 @@ def _eight_digits(x):
     return x
 
 
-def _exponents(buf, starts, ends, e_at, ok):
+def _exponents(buf, ends, e_at, ok):
     """The end of each field's significand and each field's exponent, for
     the positions ``e_at`` of the bytes "e" and "E"; clears ``ok`` where a
     field holds two of them or its exponent is not ``[+-]d{1,3}``."""
-    m = len(starts)
-    if len(e_at) == m and (starts <= e_at).all() and (e_at < ends).all():
-        field = np.arange(m)
-    else:
-        field = np.searchsorted(ends, e_at)
-        ok[field[1:][field[1:] == field[:-1]]] = False
+    field = np.searchsorted(ends, e_at)
+    ok[field[1:][field[1:] == field[:-1]]] = False
     sig_end = ends.copy()
     sig_end[field] = e_at
     end = ends.take(field)
@@ -397,7 +395,7 @@ def _exponents(buf, starts, ends, e_at, ok):
     x &= _NIBBLES
     value = _eight_digits(x).astype(np.int64)
     np.negative(value, out=value, where=negative)
-    exponent = np.zeros(m, dtype=np.int64)
+    exponent = np.zeros(len(ends), dtype=np.int64)
     exponent[field] = value
     return sig_end, exponent
 
@@ -560,20 +558,18 @@ def parse_fields(buf, starts, ends) -> np.ndarray:
 
     Every byte of the fields must be a digit or one of ``+-.eE``, and the
     fields must be separated by single bytes of another kind, one also
-    following the last; ``buf`` must hold ``_WIDTH_IN`` bytes before the
+    following the last; ``buf`` must hold ``PARSE_PAD`` bytes before the
     first field.  A field that is not a ``float()`` literal raises
     ``ValueError`` as ``float()`` does.
     """
-    tables = _read_tables()
-    m = len(starts)
-    ok = np.ones(m, dtype=bool)
+    ok = np.ones(len(starts), dtype=bool)
     first = buf.take(starts)
     negative = first == ord("-")
     sig_start = starts + (negative | (first == ord("+")))
     del first
     e_at = np.flatnonzero((buf[starts[0]:ends[-1]] | np.uint8(0x20)) == np.uint8(ord("e")))
     if len(e_at):
-        sig_end, exponent = _exponents(buf, starts, ends, e_at + starts[0], ok)
+        sig_end, exponent = _exponents(buf, ends, e_at + starts[0], ok)
     else:
         sig_end, exponent = ends, 0
     length = np.subtract(sig_end, sig_start, out=sig_start)
@@ -585,7 +581,7 @@ def parse_fields(buf, starts, ends) -> np.ndarray:
     if ((w < _U64(2**53)) & (np.abs(q) <= 22)).all():
         # Clinger: w and 10^|q| are exact, so one operation rounds correctly.
         values = w.astype(np.float64)
-        scale = tables.pow10.take(np.abs(q))
+        scale = _read_tables().pow10.take(np.abs(q))
         np.multiply(values, scale, out=values, where=q >= 0)
         np.divide(values, scale, out=values, where=q < 0)
         np.negative(values, out=values, where=negative)

@@ -85,10 +85,11 @@ def test_writer_matches_json_dumps_on_any_floats(M):
 
 def parse(texts):
     """parse_fields on ``texts`` as lines of a buffer with the padding it needs."""
-    data = bytes(24) + "".join(t + "\n" for t in texts).encode()
+    pad = floatrepr.PARSE_PAD
+    data = bytes(pad) + "".join(t + "\n" for t in texts).encode()
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate([[24], ends[:-1] + 1])
+    starts = np.concatenate([[pad], ends[:-1] + 1])
     return floatrepr.parse_fields(buf, starts, ends)
 
 
