@@ -22,15 +22,11 @@ gives ``None``.
 ASCII fields of the form ``[+-]digits[.digits][(e|E)[+-]d{1,3}]`` in a byte
 buffer, with the same bits.  The digits are read eight at a time from
 unaligned 64-bit loads (SWAR), the decimal point located and squeezed out
-in the same words.  A block whose every field has a significand below 2^53
-and a decimal exponent of at most 22 in magnitude is converted by Clinger's
-exact fast path (W. Clinger, "How to read floating point numbers
-accurately", PLDI 1990): one correctly rounded float64 product or quotient.
-Other blocks go through Eisel-Lemire (D. Lemire, "Number parsing at a
-gigabyte per second", Software: Practice and Experience 51(8), 2021): the
-significand, shifted to 64 bits, times a 128-bit power of five, truncated
-to 128 bits, gives the rounded result unless the bits below it are all
-ones.  A field neither decides (a product that close to a rounding
+in the same words.  The value comes from Eisel-Lemire (D. Lemire, "Number
+parsing at a gigabyte per second", Software: Practice and Experience 51(8),
+2021): the significand, shifted to 64 bits, times a 128-bit power of five,
+truncated to 128 bits, gives the rounded result unless the bits below it
+are all ones.  A field it cannot decide (a product that close to a rounding
 boundary, a significand of more than 24 bytes or past 2^64, a subnormal
 or overflowing result, an exponent outside the table, or a field not of
 that form) goes to ``float()``.
@@ -337,8 +333,6 @@ class _ReadTables(NamedTuple):
     t_lo: np.ndarray
     # By k = 0..2 _WIDTH_IN: the low clip(k - _WIDTH_IN, 0, 8) bytes set.
     low: np.ndarray
-    # 10.0**0 .. 10.0**22, exact in float64.
-    pow10: np.ndarray
 
 
 @functools.cache
@@ -347,8 +341,7 @@ def _read_tables() -> _ReadTables:
     nbytes = np.clip(np.arange(2 * _WIDTH_IN + 1) - _WIDTH_IN, 0, 8)
     low = np.array([(1 << (8 * int(j))) - 1 for j in nbytes], dtype=_U64)
     return _ReadTables(np.array([g >> 64 for g in t], dtype=_U64),
-                       np.array([g & (2**64 - 1) for g in t], dtype=_U64), low,
-                       np.array([10.0**k for k in range(23)]))
+                       np.array([g & (2**64 - 1) for g in t], dtype=_U64), low)
 
 
 def _loads(buf, size):
@@ -578,20 +571,12 @@ def parse_fields(buf, starts, ends) -> np.ndarray:
     np.subtract(exponent, q, out=q)
     del length, sig_end, exponent
 
-    if ((w < _U64(2**53)) & (np.abs(q) <= 22)).all():
-        # Clinger: w and 10^|q| are exact, so one operation rounds correctly.
-        values = w.astype(np.float64)
-        scale = _read_tables().pow10.take(np.abs(q))
-        np.multiply(values, scale, out=values, where=q >= 0)
-        np.divide(values, scale, out=values, where=q < 0)
-        np.negative(values, out=values, where=negative)
-    else:
-        zero = w == _U64(0)
-        w[zero] = 1
-        bits = _eisel_lemire(w, q, ok)
-        bits[zero] = 0
-        bits |= negative.astype(_U64) << _U64(63)
-        values = bits.view(np.float64)
+    zero = w == _U64(0)
+    w[zero] = 1
+    bits = _eisel_lemire(w, q, ok)
+    bits[zero] = 0
+    bits |= negative.astype(_U64) << _U64(63)
+    values = bits.view(np.float64)
     for k in np.flatnonzero(~ok):
         values[k] = float(buf[starts[k]:ends[k]].tobytes())
     return values

@@ -153,7 +153,7 @@ def test_parse_fields_on_hard_cases():
         "1444926.1995938017", "2.3202386709846417e24", "1804580891381573.8",
     ]
     assert_matches_float(hard)
-    for text in hard:  # alone, a field Clinger can take takes that path
+    for text in hard:  # alone, each field sets the block's significand width
         assert_matches_float([text])
     # Fields float() rejects raise its ValueError.
     for bad in ["", "-", "+", ".", "e5", "1e", "1e+", "1.2.3", "1e5.3", "+-1", "1-", "1e5e3"]:
@@ -173,7 +173,7 @@ def test_common_forms_need_no_float(monkeypatch):
     rng = np.random.default_rng(24)
     values = (rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)).tolist()
     short = ["%.2f" % v for v in rng.uniform(-2000, 2000, 1000)] + ["3", "-0", ".5", "-.25", "5."]
-    assert_matches_float(short)  # every field short: Clinger's path
+    assert_matches_float(short)  # every field short: one-word significands
     assert calls == []
     texts = ["%.17g" % v for v in values] + ["%.16e" % v for v in values] + list(map(repr, values))
     texts += short + ["+1E+5", "007", "1e-5", "-2.5e3"]
