@@ -13,7 +13,8 @@ This module certifies or refutes that property with explicit witnesses:
   enclose ``rho(B)``; a ``u_i <= 0`` is the witness against it.  The same
   bracket, fed ``u = S C S 𝟙`` for the correlation matrix ``C`` of ``G``,
   certifies :func:`is_id_square`; fed ``x = (I - T)⁻¹ 𝟙`` for a killed
-  chain's ``T``, it gives :func:`transience_bound` on ``rho(T)``.
+  chain's ``T``, it gives :func:`transience_bound` on ``rho(T)``;
+  :func:`closed_states` names the states of such a chain that never die.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
   (essentially unique) signature or a contradiction cycle witness.
@@ -31,7 +32,7 @@ Three-dimensional shortcut tests (:func:`triple_necessary`,
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -61,6 +62,7 @@ __all__ = [
     "classify_green",
     "relaxed_kind",
     "transience_bound",
+    "closed_states",
 ]
 
 
@@ -70,6 +72,11 @@ class Signature:
 
     Signs are determined up to one global flip per connected component of
     the off-diagonal graph of ``G⁻¹``; free components are normalized to +1.
+    ``components`` lists them in the order :func:`find_signature` found
+    them, each by its lowest node, the root, which has sign +1.  Within a
+    component the nodes are in breadth-first discovery order: the root,
+    then the unsigned neighbours of each node taken from the queue, in
+    increasing index.
     """
 
     signs: np.ndarray
@@ -253,6 +260,35 @@ def transience_bound(T) -> float:
     return cert.rho_upper + 1.0 - cert.c
 
 
+def closed_states(T) -> list[int]:
+    """States that can reach no dying state, in increasing order, for ``T``
+    clipped at 0 as a chain is simulated.
+
+    A state can die when its row of ``T`` sums below 1 exactly.  The search
+    runs backwards from those states over the positive entries of ``T``,
+    packed as row bitsets as in the signature search.  Any state it does not
+    reach leads only to states that do not reach it either, whose rows sum
+    to at least 1: together they hold a closed class, and ``rho(T) >= 1``.
+    """
+    P = np.clip(as_square_matrix(T), 0.0, None)
+    dying = 0
+    for i, row in enumerate(P.tolist()):
+        if math.fsum(row + [-1.0]) < 0.0:
+            dying |= 1 << i
+    into, width = _packed_rows(P.T > 0.0)  # row j: the states i with T_ij > 0
+    reached = frontier = dying
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            lo = (low.bit_length() - 1) * width
+            step |= int.from_bytes(into[lo:lo + width], "little")
+            frontier ^= low
+        frontier = step & ~reached
+        reached |= frontier
+    return [i for i in range(P.shape[0]) if not reached >> i & 1]
+
+
 def _contradiction_cycle(parents, i, j):
     """Closed node path through BFS parents joining the clashing edge (i, j)."""
     path_i = [i]
@@ -271,10 +307,19 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
     """Search for a sign vector making ``S G⁻¹ S`` off-diagonally nonpositive.
 
     The off-diagonal graph of ``A = C⁻¹``, which has the signs of ``G⁻¹``,
-    forces ``s_i s_j = -sign(A_ij)`` along every edge; breadth-first
-    propagation either assigns consistent signs per connected component
-    (free components get +1) or exhibits a contradiction cycle.  Whether
-    ``S G S`` is nonnegative is left to :func:`is_id_square`.
+    forces ``s_i s_j = -sign(A_ij)`` along every edge outside the zero
+    band; breadth-first propagation either assigns consistent signs per
+    connected component (free components get +1) or exhibits a
+    contradiction cycle.  Whether ``S G S`` is nonnegative is left to
+    :func:`is_id_square`.
+
+    The search starts a component at the lowest unsigned node and signs
+    it +1.  Each node taken from the queue signs its unsigned neighbours
+    and appends them in increasing index, which fixes the order of
+    :attr:`Signature.components`.  The first node whose neighbours clash
+    with its sign stops the search: its lowest-index clashing neighbour
+    closes the cycle through both nodes' search-tree paths to their
+    common ancestor.
 
     Parameters
     ----------
@@ -293,32 +338,36 @@ def find_signature(G, tol: Tolerances = DEFAULT_TOL):
 
 
 def _find_signature(A, thr):
-    """:func:`find_signature` on ``A = C⁻¹`` with its zero band ``thr``."""
-    n = A.shape[0]
-    adjacency = A > thr
-    adjacency |= A < -thr
-    np.fill_diagonal(adjacency, False)
-    forced_sign = np.sign(A, out=np.empty(A.shape, np.int8), casting="unsafe")
-    np.negative(forced_sign, out=forced_sign)
+    """:func:`find_signature` on ``A = C⁻¹`` with its zero band ``thr``.
 
-    signs = np.zeros(n, dtype=int)
-    parents = np.full(n, -1)
+    The rows of the sign graph are packed once as bitsets: ``flip`` holds
+    the edges ``A_ij > thr`` (``s_j = -s_i``) and ``keep`` the edges
+    ``A_ij < -thr`` (``s_j = s_i``).  A node's two rows become Python ints
+    only when it leaves the queue, and the signed nodes are the bitsets
+    ``plus`` and ``minus``, so one node costs a few integer operations.
+    """
+    n = A.shape[0]
+    flip, width = _packed_rows(A > thr)
+    keep, _ = _packed_rows(A < -thr)
+    plus = minus = 0
+    parents = [-1] * n
     components = []
-    for root in range(n):
-        if signs[root] != 0:
-            continue
-        signs[root] = 1
+    everyone = (1 << n) - 1
+    while free := everyone & ~(plus | minus):
+        root = _lowest_bit(free)
+        plus |= 1 << root
         comp = [root]
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            nbrs = np.flatnonzero(adjacency[i])
-            forced = forced_sign[i, nbrs] * signs[i]
-            current = signs[nbrs]
-            clash = (current != 0) & (current != forced)
-            if clash.any():
-                j = int(nbrs[np.argmax(clash)])
-                cycle = _contradiction_cycle(parents, i, j)
+        for i in comp:  # comp is the queue too: it grows as nodes are found
+            lo = i * width
+            to_other = int.from_bytes(flip[lo:lo + width], "little")
+            to_same = int.from_bytes(keep[lo:lo + width], "little")
+            if plus >> i & 1:
+                to_plus, to_minus = to_same, to_other
+            else:
+                to_plus, to_minus = to_other, to_same
+            clash = (to_plus & minus) | (to_minus & plus)
+            if clash:
+                cycle = _contradiction_cycle(parents, i, _lowest_bit(clash))
                 culprit = _worst_positive_edge(A, cycle)
                 return NoSignature(
                     "cycle",
@@ -326,15 +375,38 @@ def _find_signature(A, thr):
                     value=float(A[culprit]),
                     cycle=cycle,
                 )
-            fresh = current == 0
-            new = nbrs[fresh]
-            signs[new] = forced[fresh]
-            parents[new] = i
-            comp.extend(new.tolist())
-            queue.extend(new.tolist())
+            fresh = (to_plus | to_minus) & ~(plus | minus)
+            plus |= to_plus
+            minus |= to_minus
+            while fresh:
+                low = fresh & -fresh
+                j = low.bit_length() - 1
+                parents[j] = i
+                comp.append(j)
+                fresh ^= low
         components.append(tuple(comp))
 
+    signs = _unpacked(plus, n).astype(int) - _unpacked(minus, n)
     return Signature(signs=signs, components=tuple(components))
+
+
+def _packed_rows(mask):
+    """The rows of the square boolean ``mask``, its diagonal cleared in
+    place, as one ``bytes`` object of ``width`` bytes a row: bit ``j`` of
+    ``int.from_bytes`` of row ``i``, read little-endian, is ``mask[i, j]``."""
+    np.fill_diagonal(mask, False)
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return packed.tobytes(), packed.shape[1]
+
+
+def _lowest_bit(x):
+    return (x & -x).bit_length() - 1
+
+
+def _unpacked(x, n):
+    """Bits ``0..n-1`` of the int ``x >= 0`` as a uint8 array."""
+    raw = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def _worst_positive_edge(A, cycle):

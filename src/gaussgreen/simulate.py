@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import transience_bound
+from .criteria import closed_states, transience_bound
 from .linalg import DEFAULT_TOL, as_square_matrix, cholesky
 
 __all__ = [
@@ -26,6 +26,9 @@ __all__ = [
     "simulate_ct_green",
     "laplace",
 ]
+
+# A closed class named in an error message lists at most this many states.
+_LISTED_STATES = 10
 
 # Visit tails decay geometrically; trajectories are cut once the surviving
 # mass is below this and the cut is counted in SimReport.overflow.
@@ -64,6 +67,8 @@ def validate_chain(chain: ChainSpec) -> float:
     Returns ``rho(T) <= max_i (T x)_i / x_i < 1``, ``(I - T) x = 𝟙``, for
     ``T`` clipped at 0 as it is simulated: the M-matrix bracket's third user,
     :func:`~gaussgreen.criteria.transience_bound`, certifies ``I - T``.
+    When it cannot, the message names the states that can reach no state
+    whose row of ``T`` sums below 1, a closed class, if there are any.
     """
     T = as_square_matrix(chain.T, name="transition matrix")
     kappa = np.asarray(chain.kappa, dtype=float)
@@ -86,6 +91,12 @@ def validate_chain(chain: ChainSpec) -> float:
         raise InvalidChainError(f"rate c must be finite and positive, got {chain.c}")
     rho = transience_bound(T)
     if rho >= 1.0:
+        closed = closed_states(T)
+        if closed:
+            listed = ", ".join(map(str, closed[:_LISTED_STATES]))
+            if len(closed) > _LISTED_STATES:
+                listed += f", ... ({len(closed)} states)"
+            raise InvalidChainError(f"states ({listed}) form a closed class: rho(T) = 1")
         raise InvalidChainError("cannot certify spectral radius of T below 1")
     return rho
 

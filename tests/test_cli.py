@@ -415,12 +415,13 @@ class TestExitCodes:
         src = str(Path(gaussgreen.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         # The second chain is a valid substochastic chain whose state 0
-        # never dies: I - T is singular, so no bound on rho(T) < 1 exists.
+        # never dies: I - T is singular, so no bound on rho(T) < 1 exists,
+        # and state 0 is named as a closed class.
         for chain, message in [
             ({"T": [[0.6, 0.6], [0.1, 0.1]], "kappa": [-0.2, 0.8], "c": 1.0},
              "negative killing probability"),
             ({"T": [[1, 0], [0, 0.5]], "kappa": [0, 0.5], "c": 1},
-             "cannot certify spectral radius of T below 1"),
+             "states (0) form a closed class: rho(T) = 1"),
         ]:
             path.write_text(json.dumps(chain))
             proc = subprocess.run(

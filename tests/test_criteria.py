@@ -13,6 +13,7 @@ from gaussgreen.criteria import (
     NoSignature,
     Signature,
     _contradiction_cycle,
+    _find_signature,
     _worst_positive_edge,
     classify_green,
     find_signature,
@@ -522,14 +523,13 @@ class TestBruteForceAgreement:
                 )
 
 
-def reference_find_signature(G, tol=Tolerances()):
-    """Edge-at-a-time breadth-first sign propagation, the reference for the
-    vectorized frontier in :func:`find_signature`, on the same inverse
-    correlation matrix ``C⁻¹``."""
-    A = covariance(G).inverse
+def reference_search(A, thr):
+    """Edge-at-a-time breadth-first sign propagation over the off-diagonal
+    entries of ``A`` outside the band ``thr``, the reference for the row
+    bitset search of :func:`find_signature`: every neighbour of a node, in
+    index order, is signed or checked one at a time."""
     n = A.shape[0]
-    thr_a = tol.zero_threshold(A)
-    adjacency = np.abs(A) > thr_a
+    adjacency = np.abs(A) > thr
     np.fill_diagonal(adjacency, False)
     signs = np.zeros(n, dtype=int)
     parents = np.full(n, -1)
@@ -557,7 +557,66 @@ def reference_find_signature(G, tol=Tolerances()):
     return Signature(signs=signs, components=tuple(components))
 
 
+def assert_same_search(ours, ref):
+    """The same signs (int64) and components in discovery order, or the
+    same contradiction: reason, culprit entry, its value and the cycle."""
+    assert type(ours) is type(ref)
+    if isinstance(ref, Signature):
+        assert ours.signs.dtype == ref.signs.dtype
+        np.testing.assert_array_equal(ours.signs, ref.signs)
+        assert ours.components == ref.components
+    else:
+        assert (ours.reason, ours.index, ours.value, ours.cycle) == (
+            ref.reason, ref.index, ref.value, ref.cycle)
+
+
+def late_sheet_counterexample(n):
+    """Sheet grid of ``n`` points: a monotone chain of ``n - 4`` points, then
+    the 4-point counterexample, shifted above the chain, in the last four
+    places, so the search meets the contradiction after the whole chain."""
+    chain = np.repeat(np.arange(1.0, n - 3.0)[:, None], 2, axis=1)
+    return sheet_cov(np.vstack([chain, sheet_counterexample()[0] + n]))
+
+
+def band_split(n):
+    """Inverse of a tridiagonal matrix whose couplings, of both signs, span
+    1e-12..0.5 past index 64, so wider bands cut the path into more
+    components."""
+    A = 3.0 * np.eye(n)
+    weights = np.array([0.5, -0.5, -1e-3, 0.05, -1e-8, -0.5, 1e-12, -0.2])
+    for k in range(n - 1):
+        A[k, k + 1] = A[k + 1, k] = weights[k % 8] if k >= 64 else -0.5
+    return np.linalg.inv(A)
+
+
+def word_boundary_corpus(n):
+    """Inputs whose sign graphs cross the 64-bit words of a packed row."""
+    grid = np.arange(1.0, n + 1.0)
+    start = min(64, n - 3)  # the last three places when n <= 66
+    flips = np.where(np.arange(n) >= start, -1.0, 1.0)
+    flips[start + 1::3] = 1.0
+    fbm = fbm_cov(grid, 0.5)
+    k = n // 2
+    block = np.zeros((n, n))
+    block[:k, :k] = brownian_cov(grid[:k])
+    block[k:, k:] = flips[k:, None] * fbm_cov(grid[k:], 0.5) * flips[None, k:]
+    return {
+        "brownian": brownian_cov(grid),
+        "fbm_0.5": fbm,
+        "flipped_fbm_0.5": flips[:, None] * fbm * flips[None, :],
+        "fbm_1.5": fbm_cov(grid, 1.5),
+        "late_counterexample": late_sheet_counterexample(n),
+        "block": block,
+        "band_split": band_split(n),
+    }
+
+
 def test_vectorized_bfs_matches_reference():
+    """The row bitset search in :func:`find_signature` against the
+    edge-at-a-time reference, on the same inverse correlation matrix: small
+    inputs at the default band, then inputs whose rows span one to five
+    64-bit words, with signs flipped and cycles met past index 64, at four
+    bands that split their graphs differently."""
     rng = np.random.default_rng(31)
     corpus = [MIN_KERNEL, TRIPLE_NOT_ID, sheet_counterexample()[1], np.eye(4)]
     block = np.zeros((5, 5))
@@ -578,14 +637,52 @@ def test_vectorized_bfs_matches_reference():
         corpus.append(s0[:, None] * g * s0[None, :])
         corpus.append(sheet_cov(rng.uniform(0.1, 10.0, size=(n, 2))))
     for G in corpus:
-        ours, ref = find_signature(G), reference_find_signature(G)
-        assert type(ours) is type(ref)
-        if isinstance(ref, Signature):
-            np.testing.assert_array_equal(ours.signs, ref.signs)
-            assert ours.components == ref.components
-        else:
-            assert (ours.reason, ours.index, ours.value, ours.cycle) == (
-                ref.reason, ref.index, ref.value, ref.cycle)
+        A = covariance(G).inverse
+        assert_same_search(find_signature(G), reference_search(A, Tolerances().zero_threshold(A)))
+
+    for n in (63, 64, 65, 128, 129, 300):
+        for name, G in word_boundary_corpus(n).items():
+            A = covariance(G).inverse
+            for eps in (1e-10, 1e-6, 0.01, 0.3):
+                tol = Tolerances(eps)
+                ours = find_signature(G, tol)
+                assert_same_search(ours, reference_search(A, tol.zero_threshold(A)))
+                if name == "late_counterexample" and eps == 1e-10:
+                    assert isinstance(ours, NoSignature)
+                    assert min(ours.cycle) >= n - 5
+                if name == "flipped_fbm_0.5" and eps == 1e-10:
+                    assert (ours.signs[min(64, n - 3):] == -1).any()
+                if name == "band_split" and n > 66:
+                    assert len(ours.components) > (1 if eps < 1e-8 else 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 140), density=st.sampled_from([0.02, 0.1, 0.5]),
+       contradict=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_bitset_search_on_planted_signatures(n, density, contradict, seed):
+    """Random symmetric sign patterns that a planted signature ``s`` makes
+    nonpositive, with some entries inside the band; on some draws one edge
+    is flipped, which forces a contradiction when the edge is on a cycle."""
+    rng = np.random.default_rng(seed)
+    s = rng.choice([-1.0, 1.0], size=n)
+    magnitude = rng.choice([0.25, 1.0, 2.0], size=(n, n))  # 0.25 is in the band
+    magnitude *= rng.random((n, n)) < density
+    A = -np.triu(magnitude, 1)
+    A += A.T
+    A *= s[:, None] * s[None, :]
+    np.fill_diagonal(A, 4.0)
+    if contradict:
+        i, j = np.nonzero(np.triu(np.abs(A) > 0.5, 1))
+        if i.size:
+            k = int(rng.integers(i.size))
+            A[i[k], j[k]] = A[j[k], i[k]] = -A[i[k], j[k]]
+    ours, ref = _find_signature(A, 0.5), reference_search(A, 0.5)
+    assert_same_search(ours, ref)
+    if not contradict:
+        assert isinstance(ours, Signature)
+        for comp in ours.components:
+            flips = ours.signs[list(comp)] * s[list(comp)]
+            assert abs(int(flips.sum())) == len(comp)
 
 
 def dyadic_green(n, seed):

@@ -11,6 +11,7 @@ from gaussgreen.criteria import (
     classify_green,
     find_signature,
     is_id_square,
+    closed_states,
     is_m_matrix,
     transience_bound,
 )
@@ -51,6 +52,7 @@ EMPTY_INPUT_CALLS = {
     "covariance": linalg.covariance,
     "invert": lambda E: invert(E, factor=E),
     "transience_bound": transience_bound,
+    "closed_states": closed_states,
     "is_m_matrix": is_m_matrix,
     "find_signature": find_signature,
     "is_id_square": is_id_square,
@@ -249,6 +251,33 @@ class TestTransienceBound:
         T *= rng.uniform(0.1, 0.99) / T.sum(axis=1, keepdims=True)
         oracle = float(np.abs(np.linalg.eigvals(T)).max())
         assert oracle <= transience_bound(T) + 1e-12 < 1.0 + 1e-12
+
+
+class TestClosedStates:
+    def test_states_that_cannot_die(self):
+        # 0 and 1 form a closed class; 2 can die; 3 leads only into the
+        # class, so it cannot die either; 4 never dies itself but can move
+        # to 2.
+        T = np.array([
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.25, 0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.75, 0.0, 0.25, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+        ])
+        assert closed_states(T) == [0, 1, 3]
+
+    def test_row_sum_is_exact(self):
+        # 0.1 + 0.2 + 0.7 rounds to 1 but lies 2.8e-17 below it exactly, so
+        # state 0 can die; 0.5 + 0.5 is 1 exactly.
+        T = np.array([[0.1, 0.2, 0.7], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        assert closed_states(T) == [1, 2]
+        T[1] = [0.5, 0.5, 0.0]  # now 1 and 2 reach state 0
+        assert closed_states(T) == []
+
+    def test_transient_chain_has_none(self):
+        assert closed_states(np.zeros((3, 3))) == []
+        assert closed_states(np.full((70, 70), 0.9 / 70)) == []
 
 
 class TestSpectralRadius:

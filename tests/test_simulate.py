@@ -73,15 +73,30 @@ class TestValidateChain:
     )
 
     def test_closed_class_rejected(self):
-        with pytest.raises(InvalidChainError, match="cannot certify spectral radius of T below 1"):
+        with pytest.raises(InvalidChainError) as err:
             validate_chain(self.CLOSED_3)
+        assert str(err.value) == "states (0, 1) form a closed class: rho(T) = 1"
+
+    def test_long_closed_class_is_truncated(self):
+        # A 12-cycle entered from a killing state: the message lists ten
+        # states and the count.
+        T = np.zeros((13, 13))
+        T[np.arange(12), (np.arange(12) + 1) % 12] = 1.0
+        T[12, 0] = 0.5
+        kappa = np.zeros(13)
+        kappa[12] = 0.5
+        with pytest.raises(InvalidChainError) as err:
+            validate_chain(ChainSpec(T, kappa))
+        assert str(err.value) == (
+            "states (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ... (12 states)) form a closed class: rho(T) = 1")
 
     def test_dyadic_closed_classes_rejected(self):
         # 2,000 chains with rho(T) = 1 exactly: a closed class of k states
         # whose rows are integer weights, one raised so the total is the
         # next power of two, divided by it (so every entry and every 1 - T_ii
         # is exact), plus a killing state that jumps 0.5 / k to each.  On 656
-        # of them the solve of (I - T) x = 1 comes out positive anyway.
+        # of them the solve of (I - T) x = 1 comes out positive anyway.  The
+        # message names the class: the killing state enters it, never leaves.
         rng = np.random.default_rng(5)
         certified = 0
         for _ in range(2000):
@@ -100,7 +115,8 @@ class TestValidateChain:
                 validate_chain(ChainSpec(T, kappa))
                 certified += 1
             except InvalidChainError as err:
-                assert str(err) == "cannot certify spectral radius of T below 1"
+                states = ", ".join(map(str, range(k)))
+                assert str(err) == f"states ({states}) form a closed class: rho(T) = 1"
         assert certified == 0
 
 
