@@ -632,7 +632,7 @@ def test_check_and_decompose_validate_the_input_once(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
         # One symmetry scan of the loaded covariance, with the finiteness
-        # scan inside it; invert then checks its correlation matrix.
+        # scan inside it; invert then checks the Cholesky factor.
         loaded = calls[0][1]
         assert calls[0][0] == "as_covariance"
         assert [c for c in calls if c[0] == "as_covariance"] == [calls[0]], command

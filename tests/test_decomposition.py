@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussgreen import decomposition
 from gaussgreen.criteria import MMatrixCert, _bracket, classify_green, is_id_square
 from gaussgreen.decomposition import (
     GreenDecomposition,
@@ -20,7 +23,7 @@ from gaussgreen.kernels import (
     sheet_counterexample,
 )
 from gaussgreen.linalg import Tolerances
-from gaussgreen.simulate import ChainSpec, simulate_green
+from gaussgreen.simulate import ChainSpec, simulate_green, validate_chain
 from helpers import MIN_KERNEL, min_kernel
 
 # expected visit-count matrix of the min-kernel chain: 2 * G_ij * u_j / u_i
@@ -155,6 +158,19 @@ class TestDecompose:
         dec = decompose(G, tol)
         np.testing.assert_array_equal(dec.signature.signs, cls.verdict.signature.signs)
         assert dec.reconstruction_error <= 1e-9
+
+    def test_chain_is_tied_to_g(self):
+        # T shrunk by a relative 1e-6, with the difference moved into kappa,
+        # is still a valid chain and leaves g, detailed balance and the
+        # reconstruction as they were; only (I - T) g 𝟙 = 𝟙 sees it.
+        G = fbm_cov(np.arange(1.0, 9.0), 0.5)
+        dec = decompose(G)
+        assert decomposition._validate(dec, G) == dec.reconstruction_error
+        T = dec.T * (1.0 - 1e-6)
+        bad = replace(dec, T=T, kappa=dec.kappa + (dec.T - T).sum(axis=1))
+        validate_chain(ChainSpec(bad.T, bad.kappa, bad.c))
+        with pytest.raises(NumericalFailureError, match=r"\(I - T\) g 𝟙"):
+            decomposition._validate(bad, G)
 
 
 def unit_scaled_chain(G):

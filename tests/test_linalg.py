@@ -16,7 +16,7 @@ from gaussgreen.criteria import (
     transience_bound,
 )
 from gaussgreen.decomposition import decompose
-from gaussgreen.kernels import scale_conjugate
+from gaussgreen.kernels import brownian_cov, fbm_cov, random_green, scale_conjugate
 from gaussgreen.simulate import ChainSpec, validate_chain
 from gaussgreen.linalg import (
     NotPositiveDefiniteError,
@@ -50,7 +50,7 @@ EMPTY_INPUT_CALLS = {
     "as_covariance": as_covariance,
     "cholesky": cholesky,
     "covariance": linalg.covariance,
-    "invert": lambda E: invert(E, factor=E),
+    "invert": invert,
     "transience_bound": transience_bound,
     "closed_states": closed_states,
     "is_m_matrix": is_m_matrix,
@@ -112,8 +112,8 @@ class TestCholesky:
                     as_covariance(np.array(M))
 
     def test_tiny_asymmetric_covariance_is_not_a_singular_matrix(self):
-        # Below unit scale the old slack max(1, |G_ij|) let this through to
-        # invert, which failed on its residual with a SingularMatrixError.
+        # Below unit scale the old slack max(1, |G_ij|) let this through, to
+        # be factored from its lower triangle alone.
         G = 2.0**-40 * np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValueError, match=r"not symmetric: \|covariance\[0,1\]"):
             classify_green(G)
@@ -139,27 +139,26 @@ class TestCholesky:
 class TestInvert:
     def test_identity(self):
         A = np.eye(4)
-        np.testing.assert_allclose(invert(A, factor=cholesky(A)), np.eye(4))
+        np.testing.assert_allclose(invert(cholesky(A)), np.eye(4))
 
     def test_min_kernel(self):
         np.testing.assert_allclose(
-            invert(MIN_KERNEL, factor=cholesky(MIN_KERNEL)), MIN_KERNEL_INV, atol=1e-12
+            invert(cholesky(MIN_KERNEL)), MIN_KERNEL_INV, atol=1e-12
         )
 
     def test_scalar(self):
         A = np.array([[2.0]])
-        np.testing.assert_allclose(invert(A, factor=cholesky(A)), [[0.5]])
+        np.testing.assert_allclose(invert(cholesky(A)), [[0.5]])
 
     def test_singular_raises(self):
-        # L @ L.T is the singular A exactly; the zero pivot of L is named.
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        # L @ L.T = [[1, 1], [1, 1]] is singular; the zero pivot of L is named.
         with pytest.raises(SingularMatrixError) as err:
-            invert(A, factor=np.array([[1.0, 0.0], [1.0, 0.0]]))
+            invert(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert err.value.index == 1
 
     def test_product_is_identity(self):
         A = random_spd(5, np.random.default_rng(3))
-        M = invert(A, factor=cholesky(A))
+        M = invert(cholesky(A))
         np.testing.assert_allclose(A @ M, np.eye(5), atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -169,27 +168,45 @@ class TestInvert:
         A = random_spd(n, np.random.default_rng(seed))
         if np.linalg.cond(A) > 1e6:
             return
-        M = invert(A, factor=cholesky(A))
-        np.testing.assert_allclose(invert(M, factor=cholesky(M)), A, rtol=1e-8, atol=1e-8)
+        M = invert(cholesky(A))
+        np.testing.assert_allclose(invert(cholesky(M)), A, rtol=1e-8, atol=1e-8)
+
+
+RESIDUAL_FAMILIES = {
+    **{f"fbm{beta}": lambda n, beta=beta: fbm_cov(np.arange(1.0, n + 1), beta)
+       for beta in (0.05, 0.5, 0.99, 1.5, 1.95)},
+    "brownian": lambda n: brownian_cov(np.arange(1.0, n + 1)),
+    "random_green": lambda n: random_green(n, n)[1],
+}
 
 
 class TestInvertFromCholesky:
     def test_min_kernel(self):
-        M = invert(MIN_KERNEL, factor=cholesky(MIN_KERNEL))
+        M = invert(cholesky(MIN_KERNEL))
         np.testing.assert_allclose(M, MIN_KERNEL_INV, atol=1e-12)
         np.testing.assert_array_equal(M, M.T)
 
-    def test_residual_guarantee_enforced(self):
-        A = random_spd(6, np.random.default_rng(0))
-        with pytest.raises(SingularMatrixError, match="residual"):
-            invert(A, factor=1.001 * cholesky(A))
+    @pytest.mark.parametrize("n", [5, 65, 300])
+    @pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
+    def test_residual_is_within_n_eps_of_the_condition(self, family, n):
+        # An inverse from a Cholesky factor has |C X - I|_max of order
+        # n u |C|_1 |X|_1; these inputs reach 0.05 of n eps |C|_1 |X|_1.
+        G = RESIDUAL_FAMILIES[family](n)
+        flips = np.exp2(30.0 * (-1.0) ** np.arange(n))
+        for H in (G, 2.0**30 * G, 2.0**-30 * G, scale_conjugate(G, flips)):
+            cov = linalg.covariance(H)
+            R = cov.C @ cov.inverse
+            R.flat[:: n + 1] -= 1.0
+            norms = [np.abs(M).sum(axis=0).max() for M in (cov.C, cov.inverse)]
+            assert np.abs(R).max() <= n * np.finfo(float).eps * norms[0] * norms[1]
+
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 7), seed=st.integers(0, 10_000))
     def test_agrees_with_lu_inverse(self, n, seed):
         A = random_spd(n, np.random.default_rng(seed))
         np.testing.assert_allclose(
-            invert(A, factor=cholesky(A)), np.linalg.inv(A), rtol=1e-9, atol=1e-12
+            invert(cholesky(A)), np.linalg.inv(A), rtol=1e-9, atol=1e-12
         )
 
 
@@ -226,7 +243,7 @@ class TestTrilInverse:
         assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
         assert not np.triu(X, 1).any()
         np.testing.assert_allclose(
-            invert(A, factor=L), np.linalg.inv(A), rtol=1e-9, atol=1e-12
+            invert(L), np.linalg.inv(A), rtol=1e-9, atol=1e-12
         )
 
 
