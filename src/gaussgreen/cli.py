@@ -437,7 +437,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
-    doc = _meta("decomposition/2", tol)
+    doc = _meta("decomposition/3", tol)
     doc["command"] = "decompose"
     try:
         dec = decompose(load_matrix(args.input, args.format), tol)
@@ -455,7 +455,6 @@ def cmd_decompose(args) -> int:
             "c": dec.c,
             "T": dec.T,
             "kappa": dec.kappa,
-            "g": dec.g,
             "reconstruction_error": dec.reconstruction_error,
         }
     )

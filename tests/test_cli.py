@@ -228,6 +228,27 @@ class TestCmdDecompose:
         assert doc["reconstruction_error"] < 1e-12
         assert doc["signature"] == [1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "G", [MIN_KERNEL, fbm_cov(np.arange(1.0, 51.0), 0.5)], ids=["min_kernel", "fbm_half_n50"]
+    )
+    def test_report_holds_the_chain_not_g(self, G, tmp_path):
+        # g is derivable, so the report leaves it out; both documented
+        # rebuilds must give the library's g.
+        path, out = tmp_path / "g.json", tmp_path / "dec.json"
+        write_json_matrix(path, G)
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["T", "c", "command", "kappa", "reconstruction_error", "schema",
+                               "signature", "tolerances", "u", "verdict", "version"]
+        assert doc["schema"] == "gaussgreen.decomposition/3"
+        g = decomposition.decompose(G).g
+        T, u, c = np.asarray(doc["T"]), np.asarray(doc["u"]), doc["c"]
+        s = np.asarray(doc["signature"], dtype=float)
+        from_chain = np.linalg.inv(np.eye(len(T)) - T)
+        from_input = c * (s[:, None] * G * s) * u / u[:, None]
+        for rebuilt in (from_chain, from_input):
+            assert np.abs(rebuilt - g).max() <= 1e-10 * np.abs(g).max()
+
     def test_identity_gives_zero_transitions(self, tmp_path):
         path = tmp_path / "eye.csv"
         write_csv(path, np.eye(3))
@@ -268,6 +289,7 @@ class TestCmdDecompose:
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "not_id"
+        assert doc["schema"] == "gaussgreen.decomposition/3"
         assert doc["witness"]["entry"] == [0, 1]
 
 
@@ -285,7 +307,8 @@ class TestCmdSimulate:
         dec = json.loads(dec_path.read_text())
         estimate = np.asarray(rep["estimate"])
         stderr = np.asarray(rep["stderr"])
-        g = np.asarray(dec["g"])
+        T = np.asarray(dec["T"])
+        g = np.linalg.inv(np.eye(T.shape[0]) - T)
         assert float((np.abs(estimate - g) / stderr).max()) < 3.0
         assert rep["kind"] == "visits"
         assert "elapsed" not in rep
@@ -303,7 +326,8 @@ class TestCmdSimulate:
         dec = json.loads(dec_path.read_text())
         estimate = np.asarray(rep["estimate"])
         stderr = np.asarray(rep["stderr"])
-        target = np.asarray(dec["g"]) / dec["c"]
+        T = np.asarray(dec["T"])
+        target = np.linalg.inv(np.eye(T.shape[0]) - T) / dec["c"]
         assert float((np.abs(estimate - target) / stderr).max()) < 3.5
         assert rep["kind"] == "occupation"
 
@@ -320,6 +344,26 @@ class TestCmdSimulate:
             main(["simulate", "--input", str(dec_path), "--paths", "5000",
                   "--seed", "11", "--out", str(out)])
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("ct", [False, True], ids=["visits", "occupation"])
+    def test_decomposition_2_file_gives_the_same_report(self, min_kernel_csv, tmp_path, ct):
+        # A decomposition/2 file is the /3 document plus g; simulate reads
+        # neither g nor the schema.
+        new = tmp_path / "dec3.json"
+        main(["decompose", "--input", str(min_kernel_csv), "--out", str(new)])
+        doc = json.loads(new.read_text())
+        doc.update(schema="gaussgreen.decomposition/2",
+                   g=decomposition.decompose(MIN_KERNEL).g.tolist())
+        old = tmp_path / "dec2.json"
+        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        reports = []
+        for dec_path in (new, old):
+            out = tmp_path / f"sim_{dec_path.stem}.json"
+            argv = ["simulate", "--input", str(dec_path), "--paths", "5000", "--seed", "11",
+                    "--out", str(out)]
+            assert main(argv + ["--ct"] * ct) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCmdLaplace:
@@ -935,16 +979,24 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
     assert "".join(cli._chunks(arrays)) == json.dumps(as_lists, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("command, arrays", [("check", 7), ("decompose", 7)])
+@pytest.mark.parametrize("command, arrays", [("check", 7), ("decompose", 7), ("simulate", 13)])
 def test_peak_memory_is_a_few_matrices(tmp_path, command, arrays):
-    # The two reports hold no n x n list or text; the computation keeps the
-    # returned arrays and a few temporaries (peaks of 8 and 24 before; 5.0
-    # and 5.2 now, so one bound of 7 also catches a transience certificate
-    # that keeps an extra n x n buffer alive).
+    # The check and decompose reports hold no n x n list or text; the
+    # computation keeps the returned arrays and a few temporaries (peaks of 8
+    # and 24 before; 5.0 and 5.2 now, so one bound of 7 also catches a
+    # transience certificate that keeps an extra n x n buffer alive).
+    # simulate decodes its chain file whole: 12.2 arrays, and 15.2 while
+    # decompose reports carried g.
     n = 250
     path = tmp_path / "fbm.csv"
     np.savetxt(path, fbm_cov(np.arange(1.0, n + 1), 0.5), fmt="%.17g", delimiter=",")
-    argv = [command, "--input", str(path), "--out", str(tmp_path / "report.json")]
+    argv = [command, "--out", str(tmp_path / "report.json")]
+    if command == "simulate":
+        dec_path = tmp_path / "dec.json"
+        assert main(["decompose", "--input", str(path), "--out", str(dec_path)]) == 0
+        path = dec_path
+        argv += ["--paths", "1"]
+    argv += ["--input", str(path)]
     assert main(argv) == 0  # imports, caches and the parser are not counted
     tracemalloc.start()
     try:
