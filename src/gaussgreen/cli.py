@@ -51,7 +51,6 @@ from .linalg import (
     EPS_PSD,
     SYM_TOL,
     NotPositiveDefiniteError,
-    SingularMatrixError,
     Tolerances,
     covariance,
 )
@@ -701,7 +700,7 @@ def main(argv=None) -> int:
         print(f"error: input matrix is not positive definite ({err})",
               file=sys.stderr)
         return 1
-    except (ParseError, SingularMatrixError, InvalidChainError, ValueError) as err:
+    except (ParseError, InvalidChainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -13,7 +13,9 @@ This module certifies or refutes that property with explicit witnesses:
   enclose ``rho(B)``; a ``u_i <= 0`` is the witness against it.  The same
   bracket, fed ``u = S C S 𝟙`` for the correlation matrix ``C`` of ``G``,
   certifies :func:`is_id_square`; fed ``x = (I - T)⁻¹ 𝟙`` for a killed
-  chain's ``T``, it gives :func:`transience_bound` on ``rho(T)``;
+  chain's ``T``, the expected visit counts, known in closed form to a
+  decomposition and solved for otherwise, it gives
+  :func:`transience_bound` on ``rho(T)``;
   :func:`closed_states` names the states of such a chain that never die.
 * :func:`find_signature` propagates the forced sign pattern of ``G⁻¹``
   through the graph of its nonzero off-diagonals and either returns the
@@ -104,7 +106,8 @@ class MMatrixCert:
     ``rho_lower <= rho(B) <= rho_upper < c`` that ``u`` certifies.
     :func:`is_m_matrix` gives ``u ≈ A⁻¹ diag(A)``; :func:`is_id_square`
     certifies ``A = S C⁻¹ S`` with ``u = S C S 𝟙``, so there ``A u = 𝟙``;
-    :func:`transience_bound` certifies ``A = I - T`` with ``u ≈ A⁻¹ 𝟙``.
+    :func:`transience_bound` certifies ``A = I - T`` with ``u ≈ A⁻¹ 𝟙``,
+    the expected visit counts: ``g 𝟙`` from a decomposition, else a solve.
     """
 
     c: float
@@ -243,18 +246,21 @@ def _bracket(A, u):
     )
 
 
-def transience_bound(T) -> float:
+def transience_bound(T, x=None) -> float:
     """Certified upper bound on ``rho(T)``, ``T`` clipped at 0 as a chain is
     simulated: the bracket of :func:`is_m_matrix` certifies ``I - T = c I - B``
-    from the solve ``x`` of ``(I - T) x = 𝟙``, and ``rho_upper + 1 - c`` is
-    then ``max_i (T x)_i / x_i < 1``; ``inf`` when the solve or bracket fails."""
+    from ``x``, and ``rho_upper + 1 - c`` is then ``max_i (T x)_i / x_i < 1``;
+    ``inf`` when the solve or bracket fails.  The bracket is sound for any
+    ``x``, so a caller that knows ``(I - T)⁻¹ 𝟙`` passes it; without one,
+    ``x`` is the solve of ``(I - T) x = 𝟙``."""
     A = np.clip(as_square_matrix(T), 0.0, None)
     eye_minus(A, out=A)
-    try:
-        x = np.linalg.solve(A, np.ones(A.shape[0]))
-    except np.linalg.LinAlgError:
-        return np.inf
-    cert = _bracket(A, x)
+    if x is None:
+        try:
+            x = np.linalg.solve(A, np.ones(A.shape[0]))
+        except np.linalg.LinAlgError:
+            return np.inf
+    cert = _bracket(A, np.asarray(x, dtype=float))
     if isinstance(cert, MMatrixFailure):
         return np.inf
     return cert.rho_upper + 1.0 - cert.c

@@ -6,13 +6,16 @@ Once ``S G S`` has an M-matrix inverse ``A = c I - B``, the positive vector
 strictly substochastic transition matrix, the killed chain it defines is
 transient, and its expected-visit-count matrix ``g = (I - T)⁻¹`` reproduces
 the covariance through ``c · D (S G S) D⁻¹ = g``.  This module builds that
-object from the verdict's signature and the inverse ``C⁻¹`` of the
-correlation matrix ``C = E G E``, ``E = diag(G)^{-1/2}``: ``A = S E C⁻¹ E S``,
-``c = max diag A``, and ``g`` in that closed form with no inversion.  It
-verifies the chain (:func:`validate_chain`), the link ``(I - T) g 𝟙 = 𝟙``
-between ``T``, built from ``C⁻¹``, and ``g``, built from ``G``, detailed
-balance and the reconstruction of ``G``; ``(I - T) g = I`` in full would
-only repeat the residual of ``C⁻¹``, which its Cholesky factor bounds.
+object from the verdict on the correlation matrix ``C = E G E``,
+``E = diag(G)^{-1/2}``: its signature, and its certificate's
+``c' I - S C⁻¹ S``, whose off-diagonals scaled by ``E`` on both sides are
+those of ``-A = -S E C⁻¹ E S``; ``c = max diag A``, and ``g`` in that closed
+form with no inversion.  It verifies the chain (:func:`validate_chain`,
+certified by the expected visit counts ``x = g 𝟙`` with no solve), the link
+``(I - T) x = 𝟙`` between ``T``, built from ``C⁻¹``, and ``g``, built from
+``G``, detailed balance and the reconstruction of ``G``; ``(I - T) g = I``
+in full would only repeat the residual of ``C⁻¹``, which its Cholesky
+factor bounds.
 :func:`symmetric_green` derives from ``g`` and ``u`` the symmetric form
 ``g̃ = c · D (S G S) D`` with the weights ``μ = u²`` of detailed balance.
 """
@@ -30,7 +33,6 @@ from .linalg import (
     Tolerances,
     abs_max,
     covariance,
-    eye_minus,
 )
 from .simulate import ChainSpec, InvalidChainError, validate_chain
 
@@ -130,18 +132,20 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     if not verdict.is_id:
         raise NotInfinitelyDivisibleError(verdict.witness)
 
-    sig = verdict.signature
-    G, d, inverse = cov.G, cov.d, cov.inverse
-    # The verdict's B and the correlation matrices are not needed below.
+    sig, G, d = verdict.signature, cov.G, cov.d
+    a = cov.inverse.diagonal() * d
+    a *= d
+    c = float(a.max())
+    # The certificate's buffer B = c' I - S C⁻¹ S becomes c I - S D C⁻¹ D S
+    # and then T: its off-diagonals are those of -S C⁻¹ S exactly, so scaled
+    # by D on both sides they carry the same bits as a conjugation of D C⁻¹ D,
+    # and its diagonal is c - a.  The correlation matrices are not needed
+    # below.  A second buffer takes Gp = S G S and then g.
+    T = verdict.cert.B
     del verdict, cov
-    # One buffer takes A = S D C⁻¹ D S and then B = c I - A and T; a second
-    # takes Gp = S G S and then g.
-    T = inverse * d[:, None]
+    T *= d[:, None]
     T *= d
-    del inverse
-    sig.conjugate(T, out=T)
-    c = float(T.diagonal().max())
-    eye_minus(T, c, out=T)
+    T.flat[:: T.shape[0] + 1] = c - a
     g = sig.conjugate(G)
     u = g.sum(axis=1)
     T *= u
@@ -168,15 +172,18 @@ def _validate(dec: GreenDecomposition, G) -> float:
 
     The chain must pass :func:`validate_chain` at the default zero band, the
     one :func:`simulate` reads it with, so ``T`` and ``kappa`` are nonnegative
-    up to roundoff however wide the band of the verdict was.
+    up to roundoff however wide the band of the verdict was.  Its transience
+    certificate reads ``x = g 𝟙``, which any positive vector may be, so it
+    needs no solve of ``(I - T) x = 𝟙``; the matvec below checks that ``x``
+    is that solve.
     """
+    x = dec.g.sum(axis=1)
     try:
-        validate_chain(ChainSpec(dec.T, dec.kappa, dec.c))
+        validate_chain(ChainSpec(dec.T, dec.kappa, dec.c), x=x)
     except InvalidChainError as exc:
         raise NumericalFailureError(str(exc)) from None
 
-    # One matvec on x = g 𝟙 ties T to g.
-    x = dec.g.sum(axis=1)
+    # One matvec on x ties T to g.
     r = x - dec.T @ x
     r -= 1.0
     if abs_max(r) > 1e-10 * max(1.0, abs_max(x)):

@@ -58,17 +58,20 @@ class ChainSpec:
         return np.asarray(self.T).shape[0]
 
 
-def validate_chain(chain: ChainSpec) -> float:
+def validate_chain(chain: ChainSpec, *, x=None) -> float:
     """Raise :class:`InvalidChainError` unless all chain invariants hold.
 
     Entries of ``T`` and ``kappa`` inside the default zero band of ``T``
     count as zero, whatever band a verdict on the covariance used.
 
-    Returns ``rho(T) <= max_i (T x)_i / x_i < 1``, ``(I - T) x = 𝟙``, for
-    ``T`` clipped at 0 as it is simulated: the M-matrix bracket's third user,
-    :func:`~gaussgreen.criteria.transience_bound`, certifies ``I - T``.
-    When it cannot, the message names the states that can reach no state
-    whose row of ``T`` sums below 1, a closed class, if there are any.
+    Returns ``rho(T) <= max_i (T x)_i / x_i < 1`` for ``T`` clipped at 0 as
+    it is simulated: the M-matrix bracket's third user,
+    :func:`~gaussgreen.criteria.transience_bound`, certifies ``I - T`` with
+    ``x``.  That is the given ``x``, such as the expected visit counts
+    ``g 𝟙`` a decomposition knows in closed form, or else the solve of
+    ``(I - T) x = 𝟙``.  When the bound is not certified, the message names
+    the states that can reach no state whose row of ``T`` sums below 1, a
+    closed class, if there are any.
     """
     T = as_square_matrix(chain.T, name="transition matrix")
     kappa = np.asarray(chain.kappa, dtype=float)
@@ -89,7 +92,7 @@ def validate_chain(chain: ChainSpec) -> float:
         raise InvalidChainError("rows of T plus kappa do not sum to 1")
     if not (np.isfinite(chain.c) and chain.c > 0.0):
         raise InvalidChainError(f"rate c must be finite and positive, got {chain.c}")
-    rho = transience_bound(T)
+    rho = transience_bound(T, x)
     if rho >= 1.0:
         closed = closed_states(T)
         if closed:

@@ -609,23 +609,24 @@ class TestExitCodes:
 
 
 def test_check_and_decompose_factor_once(tmp_path, monkeypatch):
-    calls = {"cholesky": 0}
-    cholesky = np.linalg.cholesky
+    # One Cholesky factor serves every test, and no LU solve runs: the
+    # verdict's certificate reads u = S C S 𝟙 and the chain's reads g 𝟙.
+    calls = {}
+    for name in ("cholesky", "solve"):
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
 
-    def counted_cholesky(*args, **kwargs):
-        calls["cholesky"] += 1
-        return cholesky(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(np.linalg, name, counted)
     inputs = {"id": fbm_cov([1.0, 2.0, 3.0, 4.0, 5.0], 0.5),
               "not_id": sheet_counterexample()[1]}
     for label, G in inputs.items():
         path = tmp_path / f"{label}.json"
         write_json_matrix(path, G)
         for command in ("check", "decompose"):
-            calls.update(cholesky=0)
+            calls.update(cholesky=0, solve=0)
             main([command, "--input", str(path), "--out", str(tmp_path / "out.json")])
-            assert calls == {"cholesky": 1}, (label, command)
+            assert calls == {"cholesky": 1, "solve": 0}, (label, command)
 
 
 def _same(a, b):

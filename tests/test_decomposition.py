@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgreen import decomposition
-from gaussgreen.criteria import MMatrixCert, _bracket, classify_green, is_id_square
+from gaussgreen.criteria import (
+    MMatrixCert,
+    _bracket,
+    classify_green,
+    is_id_square,
+    transience_bound,
+)
 from gaussgreen.decomposition import (
     GreenDecomposition,
     NotInfinitelyDivisibleError,
@@ -22,7 +28,7 @@ from gaussgreen.kernels import (
     scale_conjugate,
     sheet_counterexample,
 )
-from gaussgreen.linalg import Tolerances
+from gaussgreen.linalg import Tolerances, covariance, eye_minus
 from gaussgreen.simulate import ChainSpec, simulate_green, validate_chain
 from helpers import MIN_KERNEL, min_kernel
 
@@ -171,6 +177,76 @@ class TestDecompose:
         validate_chain(ChainSpec(bad.T, bad.kappa, bad.c))
         with pytest.raises(NumericalFailureError, match=r"\(I - T\) g 𝟙"):
             decomposition._validate(bad, G)
+
+    def test_chain_from_the_certificate_is_the_conjugated_inverse(self):
+        # T is built in the certificate's buffer c' I - S C⁻¹ S; it has the
+        # bits of the chain built from c I - S D C⁻¹ D S, as sign flips,
+        # negation and the order of the two scalings by D are exact.  The
+        # integer Brownian grid gives exact zeros in C⁻¹.
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 30):
+            x = np.cumsum(rng.uniform(0.1, 2.0, n))
+            s = rng.choice([-1.0, 1.0], n)
+            for G in (min_kernel(n), brownian_cov(x), fbm_cov(x, 0.5), random_green(n, n)[1]):
+                G = scale_conjugate(G * s[:, None] * s, np.ldexp(1.0, rng.integers(-9, 10, n)))
+                dec, cov = decompose(G), covariance(G)
+                A = dec.signature.conjugate(cov.inverse * cov.d[:, None] * cov.d)
+                c = A.diagonal().max()
+                T = eye_minus(A, c)
+                T *= dec.u
+                T /= (c * dec.u)[:, None]
+                assert dec.c == c
+                np.testing.assert_array_equal(dec.T, T)
+                assert np.array_equal(np.signbit(dec.T), np.signbit(T))
+
+
+def scaled_draws():
+    """300 draws of ``D G D``, ``D = diag(2^k)``, ``k`` uniform on [-40, 40],
+    over Brownian, fBm β = 0.5 and fBm β = 1.5 (not ID) on 1..n, n = 3-8."""
+    rng = np.random.default_rng(5)
+    families = (brownian_cov, lambda x: fbm_cov(x, 0.5), lambda x: fbm_cov(x, 1.5))
+    for t in range(300):
+        n = int(rng.integers(3, 9))
+        scale = np.ldexp(1.0, rng.integers(-40, 41, size=n))
+        G = families[t % 3](np.arange(1.0, n + 1))
+        yield G * scale[:, None] * scale
+
+
+def signed_inputs():
+    """Brownian, fBm and random-green covariances, n = 2-60, on random grids
+    and conjugated by random signs."""
+    rng = np.random.default_rng(7)
+    for t in range(60):
+        n = int(rng.integers(2, 61))
+        x = np.cumsum(rng.uniform(0.1, 2.0, n))
+        if t % 3 == 0:
+            G = brownian_cov(x)
+        elif t % 3 == 1:
+            G = fbm_cov(x, float(rng.uniform(0.05, 1.0)))
+        else:
+            G = random_green(n, int(rng.integers(1 << 16)))[1]
+        s = rng.choice([-1.0, 1.0], n)
+        yield G * s[:, None] * s
+
+
+def test_decompose_and_simulate_certify_the_same_chains():
+    # decompose certifies its chain with x = g 𝟙; simulate, reading the same
+    # chain from a file, solves (I - T) x = 𝟙.  Every chain decompose returns
+    # must pass simulate's check, and the two bounds on rho(T) must agree.
+    cases = [(G, 1e-10) for G in scaled_draws()]
+    cases += [(G, eps) for G in signed_inputs() for eps in (1e-10, 0.01, 0.3)]
+    chains = 0
+    for G, eps in cases:
+        try:
+            dec = decompose(G, Tolerances(eps))
+        except (NotInfinitelyDivisibleError, NumericalFailureError):
+            continue
+        chains += 1
+        rho = validate_chain(ChainSpec(dec.T, dec.kappa, dec.c))
+        assert rho == transience_bound(dec.T) < 1.0
+        closed_form = transience_bound(dec.T, dec.g.sum(axis=1))
+        assert abs(closed_form - rho) <= 1e-9 * (1.0 - rho)
+    assert chains >= 100
 
 
 def unit_scaled_chain(G):

@@ -248,17 +248,29 @@ class TestTrilInverse:
 
 
 class TestTransienceBound:
+    """``transience_bound(T)`` solves for ``x``; ``transience_bound(T, x)``
+    brackets with the ``x`` it is given, which any positive vector may be."""
+
     def test_single_state(self):
         assert transience_bound(np.array([[0.9]])) == pytest.approx(0.9)
+        assert transience_bound(np.array([[0.9]]), np.array([10.0])) == pytest.approx(0.9)
+        assert transience_bound(np.array([[0.9]]), [1.0]) == pytest.approx(0.9)
 
     def test_zero_matrix(self):
         assert transience_bound(np.zeros((3, 3))) == 0.0
+        assert transience_bound(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])) == 0.0
+        # An x with an entry <= 0 certifies nothing, even for rho(T) = 0.
+        for x in ([1.0, 0.0, 1.0], [1.0, 1.0, -2.0], [-1.0, -1.0, -1.0]):
+            assert transience_bound(np.zeros((3, 3)), np.array(x)) == np.inf
 
     @pytest.mark.parametrize(
         "T", [[[1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.6, 0.6], [0.6, 0.6]]]
     )
     def test_not_transient_is_infinite(self, T):
-        assert transience_bound(np.array(T)) == np.inf
+        T = np.array(T)
+        assert transience_bound(T) == np.inf
+        # No positive x certifies a chain that is not transient.
+        assert transience_bound(T, np.ones(T.shape[0])) == np.inf
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 10_000))
@@ -267,7 +279,13 @@ class TestTransienceBound:
         T = rng.uniform(0.0, 1.0, size=(n, n))
         T *= rng.uniform(0.1, 0.99) / T.sum(axis=1, keepdims=True)
         oracle = float(np.abs(np.linalg.eigvals(T)).max())
-        assert oracle <= transience_bound(T) + 1e-12 < 1.0 + 1e-12
+        rho = transience_bound(T)
+        assert oracle <= rho + 1e-12 < 1.0 + 1e-12
+        # The visit counts from an explicit inverse give the same bracket;
+        # any other positive x still bounds rho(T), if more loosely.
+        visits = np.linalg.inv(np.eye(n) - T).sum(axis=1)
+        assert transience_bound(T, visits) == pytest.approx(rho, abs=1e-12)
+        assert oracle <= transience_bound(T, rng.uniform(0.5, 2.0, n)) + 1e-12
 
 
 class TestClosedStates:

@@ -25,7 +25,12 @@ G_2x2 = np.array([[2.4, 0.8], [0.8, 1.6]])
 
 class TestValidateChain:
     def test_valid(self):
-        validate_chain(CHAIN_2x2)
+        rho = validate_chain(CHAIN_2x2)
+        # The expected visit counts (I - T)⁻¹ 𝟙 = G_2x2 𝟙, given, stand in for
+        # the solve, and give the same bound.
+        assert validate_chain(CHAIN_2x2, x=G_2x2.sum(axis=1)) == pytest.approx(rho, abs=1e-15)
+        with pytest.raises(InvalidChainError, match="cannot certify"):
+            validate_chain(CHAIN_2x2, x=np.array([1.0, 0.0]))
 
     def test_negative_transition(self):
         chain = ChainSpec(T=np.array([[-0.2, 0.4], [0.1, 0.1]]),
@@ -73,9 +78,11 @@ class TestValidateChain:
     )
 
     def test_closed_class_rejected(self):
-        with pytest.raises(InvalidChainError) as err:
-            validate_chain(self.CLOSED_3)
-        assert str(err.value) == "states (0, 1) form a closed class: rho(T) = 1"
+        # A given x = 𝟙 in place of the solve gets the same message.
+        for x in (None, np.ones(3)):
+            with pytest.raises(InvalidChainError) as err:
+                validate_chain(self.CLOSED_3, x=x)
+            assert str(err.value) == "states (0, 1) form a closed class: rho(T) = 1"
 
     def test_long_closed_class_is_truncated(self):
         # A 12-cycle entered from a killing state: the message lists ten
