@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gaussgreen
-from gaussgreen import __version__, cli, criteria, decomposition, linalg
+from gaussgreen import __version__, cli, criteria, decomposition, linalg, textio
 from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import brownian_cov, fbm_cov, random_green, sheet_counterexample
@@ -331,10 +331,30 @@ class TestCmdSimulate:
         assert float((np.abs(estimate - target) / stderr).max()) < 3.5
         assert rep["kind"] == "occupation"
 
-    def test_malformed_chain_is_input_error(self, tmp_path):
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps({"T": [[0.5]]}))
-        assert main(["simulate", "--input", str(path)]) == 1
+    def test_malformed_chain_is_input_error(self, tmp_path, capsys):
+        # Each file is refused before a path is drawn: exit 1, one error
+        # line naming the file, and no report.
+        path, out = tmp_path / "chain.json", tmp_path / "rep.json"
+        chain = '{"T": [[0.5]], "kappa": [0.5], "c": %s}'
+        cases = [
+            (None, f"cannot read chain from {path}: [Errno 2] No such file or directory"),
+            ("not json", f"cannot read chain from {path}: Expecting value: line 1 column 1"),
+            ("[1]", f"{path}: missing or malformed chain fields: "),
+            (json.dumps({"T": [[0.5]]}), f"{path}: missing or malformed chain fields: 'kappa'"),
+            (chain % "true", f"{path}: c must be a number, got True"),
+            (chain % '"2"', f"{path}: c must be a number, got '2'"),
+        ]
+        for text, message in cases:
+            if text is not None:
+                path.write_text(text)
+            assert main(["simulate", "--input", str(path), "--out", str(out)]) == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: " + message), err
+            assert err.count("\n") == 1 and err.count("error:") == 1, err
+            assert not out.exists()
+        path.write_text(chain % "2")
+        assert main(["simulate", "--input", str(path), "--paths", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["c"] == 2.0
 
     def test_byte_identical_reports(self, min_kernel_csv, tmp_path):
         dec_path = tmp_path / "dec.json"
@@ -946,7 +966,7 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
                  "text": ["a, b", "\u00e9\n"], "mixed": [1, 2.5, True, None, (3, 4)],
                  "odd": [float("nan"), float("inf"), -0.0, 1e-300]})
     for doc in docs:
-        assert "".join(cli._chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+        assert "".join(textio._chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
     # ndarrays are written as their lists would be, next to lists.
     arrays = {
         "vector": np.array([0.1, -0.0, 1e300, np.nan]),
@@ -967,7 +987,7 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
     # (written by the C encoder).
     rng = np.random.default_rng(7)
     big = rng.standard_normal((100, 100)) * 10.0 ** rng.integers(-20, 20, (100, 100))
-    assert big.size > cli._BLOCK
+    assert big.size > textio._BLOCK
     big[3, 5], big[4, :3] = -0.0, 0.0
     big[90, 1], big[95, 2], big[99, 3], big[99, 4] = 5e-324, np.nan, np.inf, -np.inf
     arrays["big"] = big
@@ -975,9 +995,9 @@ def test_report_writer_matches_json_dumps(tmp_path, min_kernel_csv):
     as_lists["rows"] = [[1.0, 2.0], [3.0], [4.0]]
     as_lists["nested"] = {"list": [[1.0, 2.0], [3.0, 4.0]], "array": np.eye(2).tolist()}
     for key in arrays:
-        assert "".join(cli._chunks(arrays[key])) == json.dumps(
+        assert "".join(textio._chunks(arrays[key])) == json.dumps(
             as_lists[key], indent=2, sort_keys=True), key
-    assert "".join(cli._chunks(arrays)) == json.dumps(as_lists, indent=2, sort_keys=True)
+    assert "".join(textio._chunks(arrays)) == json.dumps(as_lists, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("command, arrays", [("check", 7), ("decompose", 7), ("simulate", 13)])

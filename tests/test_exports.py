@@ -2,6 +2,7 @@
 module reaches into another's private names."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import gaussgreen
@@ -39,3 +40,16 @@ def test_no_module_imports_a_private_name_of_another():
                 offenders += [f"{path.stem}: {alias.name}" for alias in node.names
                               if _private(alias.name)]
     assert offenders == []
+
+
+def test_cli_calls_textio_through_the_module():
+    # bench/tracer.py wraps the public functions bound in cli's namespace.
+    # A textio function bound there would get a span of its own, and the
+    # format work would leave cli.load_matrix's and cli.write_report's self
+    # time for a span that no per-layer metric names.
+    from gaussgreen import cli, textio
+
+    bound = [name for name, value in vars(cli).items()
+             if inspect.isfunction(value) and value.__module__ == textio.__name__]
+    assert bound == []
+    assert cli.textio is textio

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaussgreen import cli, floatrepr
+from gaussgreen import floatrepr, textio
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
 LARGEST = 1.7976931348623157e308
@@ -80,7 +80,7 @@ def test_kernel_matches_repr_on_normal_arrays(M):
 def test_writer_matches_json_dumps_on_any_floats(M):
     # Large enough arrays take the kernel, except where a block holds a NaN,
     # an infinity or a subnormal number.
-    assert "".join(cli._chunks(M)) == json.dumps(M.tolist(), indent=2)
+    assert "".join(textio._chunks(M)) == json.dumps(M.tolist(), indent=2)
 
 
 def parse(texts):

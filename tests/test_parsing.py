@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from gaussgreen.kernels import fbm_cov
 
 import gaussgreen
-from gaussgreen import cli
+from gaussgreen import textio
 from gaussgreen.cli import ParseError, load_matrix
 
 SRC = str(Path(gaussgreen.__file__).resolve().parent.parent)
@@ -133,8 +133,8 @@ def load_text(directory, text, block=None):
     error text names the file m.csv."""
     path = directory / "m.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(cli, "_CSV_MIN", 0), \
-            mock.patch.object(cli, "_CSV_BLOCK", block or cli._CSV_BLOCK):
+    with mock.patch.object(textio, "_CSV_MIN", 0), \
+            mock.patch.object(textio, "_CSV_BLOCK", block or textio._CSV_BLOCK):
         try:
             return load_matrix(str(path))
         except ParseError as err:
@@ -195,7 +195,7 @@ def test_fields_and_lines_across_block_edges(tmp_path, monkeypatch, final_break)
     expected = reference_matrix_from_csv(text, "m.csv")
     first = len(rows[0])
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_matrix_from_csv_lines", None)
+        patch.setattr(textio, "_matrix_from_csv_lines", None)
         for block in sorted({1, 2, 5, 8, 24, 25, first - 1, first, first + 1, first + 2,
                              len(text) - 1, len(text), len(text) + 1, 1 << 18}):
             got = load_text(tmp_path, text, block)
@@ -226,7 +226,7 @@ def test_benchmark_csv_needs_neither_loadtxt_nor_the_reference(tmp_path, monkeyp
         raise AssertionError("not the block reader")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(cli, "_matrix_from_csv_lines", refuse)
+    monkeypatch.setattr(textio, "_matrix_from_csv_lines", refuse)
     assert load_matrix(str(path)).tobytes() == G.tobytes()
 
 
@@ -264,7 +264,7 @@ def test_file_is_split_as_its_whole_text(tmp_path, pad, last):
     path.write_bytes(text.encode("utf-8"))
     expected = parse_or_error(reference_matrix_from_csv, path.read_text(encoding="utf-8"))
     try:
-        with mock.patch.object(cli, "_CSV_MIN", 0):
+        with mock.patch.object(textio, "_CSV_MIN", 0):
             got = load_matrix(str(path))
     except ParseError as err:
         got = str(err).replace(str(path), "m.csv")
