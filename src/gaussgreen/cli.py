@@ -11,7 +11,7 @@ failure, matrix not positive definite, invalid chain file, report file that
 cannot be written, sizes that need more memory than can be allocated),
 2 indeterminate at the working tolerance, 3 decomposition requested for a
 non-ID covariance, 4 internal numerical failure (a constructed
-decomposition violated one of its own identities).
+chain failed its checks or its link to the visit counts).
 
 All reports are JSON with sorted keys; identical configuration produces
 byte-identical output (timings never enter reports).  Indices in reports
@@ -32,12 +32,7 @@ import numpy as np
 
 from . import __version__, textio
 from .criteria import NoSignature, classify_green, is_id_square, relaxed_kind
-from .decomposition import (
-    NotInfinitelyDivisibleError,
-    NumericalFailureError,
-    SymmetryViolationError,
-    decompose,
-)
+from .decomposition import NotInfinitelyDivisibleError, NumericalFailureError, decompose
 from .kernels import (
     brownian_cov,
     fbm_cov,
@@ -180,7 +175,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = Tolerances(eps_zero=args.eps)
-    doc = _meta("decomposition/3", tol)
+    doc = _meta("decomposition/4", tol)
     doc["command"] = "decompose"
     try:
         dec = decompose(load_matrix(args.input, args.format), tol)
@@ -198,7 +193,6 @@ def cmd_decompose(args) -> int:
             "c": dec.c,
             "T": dec.T,
             "kappa": dec.kappa,
-            "reconstruction_error": dec.reconstruction_error,
         }
     )
     write_report(doc, args.out)
@@ -438,7 +432,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (NumericalFailureError, SymmetryViolationError) as err:
+    except NumericalFailureError as err:
         print(f"error: internal numerical failure ({err})", file=sys.stderr)
         return 4
 

@@ -10,19 +10,21 @@ object from the verdict on the correlation matrix ``C = E G E``,
 ``E = diag(G)^{-1/2}``: its signature, and its certificate's
 ``c' I - S C⁻¹ S``, whose off-diagonals scaled by ``E`` on both sides are
 those of ``-A = -S E C⁻¹ E S``; ``c = max diag A``, and ``g`` in that closed
-form with no inversion.  It verifies the chain (:func:`validate_chain`,
-certified by the expected visit counts ``x = g 𝟙`` with no solve), the link
-``(I - T) x = 𝟙`` between ``T``, built from ``C⁻¹``, and ``g``, built from
-``G``, detailed balance and the reconstruction of ``G``; ``(I - T) g = I``
-in full would only repeat the residual of ``C⁻¹``, which its Cholesky
-factor bounds.
+form with no inversion.  It verifies what it builds: the chain
+(:func:`validate_chain`, certified by the expected visit counts ``x = g 𝟙``
+with no solve) and the link ``(I - T) x = 𝟙`` between ``T``, built from
+``C⁻¹``, and ``g``, built from ``G``.  ``(I - T) g = I`` in full would only
+repeat the residual of ``C⁻¹``, which its Cholesky factor bounds.  Neither
+:func:`reconstruct` nor :func:`symmetric_green` reads ``T`` or ``kappa``:
+they undo the diagonal scaling that made ``g`` from ``G``, and retest the
+symmetry of ``G`` that :func:`covariance` already checked.
 :func:`symmetric_green` derives from ``g`` and ``u`` the symmetric form
 ``g̃ = c · D (S G S) D`` with the weights ``μ = u²`` of detailed balance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +91,6 @@ class GreenDecomposition:
         Per-state killing probabilities ``1 - T @ 𝟙``.
     g : ndarray
         Expected visit counts ``(I - T)⁻¹``; equals ``c D Gp D⁻¹``.
-    reconstruction_error : float
-        ``|reconstruct(self) - G|_max / |G|_max`` for the input
-        covariance ``G``, as checked when the decomposition was built.
     """
 
     signature: Signature
@@ -100,7 +99,6 @@ class GreenDecomposition:
     T: np.ndarray
     kappa: np.ndarray
     g: np.ndarray
-    reconstruction_error: float
 
     @property
     def n(self) -> int:
@@ -121,11 +119,8 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     NotInfinitelyDivisibleError
         When the verdict is negative.
     NumericalFailureError
-        When any constructed identity fails its tolerance; nothing is
-        clamped silently.
-    SymmetryViolationError
-        When the visit kernel ``g`` fails detailed balance with respect to
-        ``u²`` (see :func:`symmetric_green`).
+        When the chain fails :func:`validate_chain` or ``(I - T) g 𝟙``
+        misses ``𝟙``; nothing is clamped silently.
     """
     cov = covariance(G)
     verdict = is_id_square(cov, tol)
@@ -155,20 +150,13 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     g *= u
     g /= u[:, None]
 
-    dec = GreenDecomposition(
-        signature=sig,
-        u=u,
-        c=c,
-        T=T,
-        kappa=kappa,
-        g=g,
-        reconstruction_error=np.nan,
-    )
-    return replace(dec, reconstruction_error=_validate(dec, G))
+    dec = GreenDecomposition(signature=sig, u=u, c=c, T=T, kappa=kappa, g=g)
+    _validate(dec)
+    return dec
 
 
-def _validate(dec: GreenDecomposition, G) -> float:
-    """Check every identity of ``dec``; return its reconstruction error.
+def _validate(dec: GreenDecomposition) -> None:
+    """Check the chain of ``dec`` and its link to ``g``.
 
     The chain must pass :func:`validate_chain` at the default zero band, the
     one :func:`simulate` reads it with, so ``T`` and ``kappa`` are nonnegative
@@ -189,15 +177,6 @@ def _validate(dec: GreenDecomposition, G) -> float:
     if abs_max(r) > 1e-10 * max(1.0, abs_max(x)):
         raise NumericalFailureError("(I - T) g 𝟙 deviates from 𝟙")
 
-    symmetric_green(dec)
-
-    R = reconstruct(dec)
-    R -= G
-    rel = float(abs_max(R) / abs_max(G))
-    if rel > 1e-9:
-        raise NumericalFailureError(f"reconstruction error {rel:.3e}")
-    return rel
-
 
 def reconstruct(dec: GreenDecomposition) -> np.ndarray:
     """Invert the decomposition: ``S diag(u) g diag(1/u) S / c``."""
@@ -214,13 +193,14 @@ def symmetric_green(dec: GreenDecomposition):
     Returns ``(g_sym, mu)`` with ``mu = u²`` and ``g_sym_ij = g_ij / mu_j``,
     which is ``c Gp_ij / (u_i u_j)`` with ``Gp = S G S``.  It is symmetric,
     i.e. the detailed-balance identity ``g_ij μ_i = g_ji μ_j`` holds within
-    tolerance.  :func:`decompose` runs this check on every chain it builds.
+    tolerance whenever ``G`` passed :func:`covariance`'s symmetry check, so
+    :func:`decompose` does not run it.
 
     Raises
     ------
     SymmetryViolationError
-        When detailed balance fails, which signals that the original input
-        was not a symmetric covariance.
+        When detailed balance fails, which signals that ``dec`` was not
+        built from a symmetric covariance.
     """
     mu = dec.u**2
     g_sym = dec.g / mu

@@ -205,15 +205,17 @@ def read_chain(path: str) -> ChainSpec:
     """The chain ``T``, ``kappa`` and rate ``c`` (a JSON number, 1 when left
     out) of the JSON object in ``path``, such as a decomposition report."""
     doc = _json_doc(path, f"cannot read chain from {path}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object with 'T' and 'kappa' fields")
     what = f"{path}: missing or malformed chain fields"
     try:
         T = _floats(doc["T"], what)
         kappa = _floats(doc["kappa"], what)
         c = doc.get("c", 1.0)
-        if isinstance(c, (bool, str)):  # float() takes both; null, lists and objects it refuses
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ParseError(f"{path}: c must be a number, got {c!r}")
         return ChainSpec(T=T, kappa=kappa, c=float(c))
-    except (KeyError, TypeError, OverflowError) as err:
+    except (KeyError, OverflowError) as err:
         raise ParseError(f"{what}: {err}") from err
 
 

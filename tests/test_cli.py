@@ -33,6 +33,15 @@ def write_json_matrix(path, M):
     path.write_text(json.dumps({"n": M.shape[0], "entries": M.tolist()}))
 
 
+def assert_chain_gives(doc, G):
+    """``S D_u (I - T)⁻¹ D_u⁻¹ S / c``, rebuilt from a decompose report's
+    own fields, is ``G`` within 1e-9 relative."""
+    T, c = np.asarray(doc["T"]), doc["c"]
+    su = np.asarray(doc["signature"]) * np.asarray(doc["u"])
+    rebuilt = su[:, None] * np.linalg.inv(np.eye(len(T)) - T) / su / c
+    assert np.abs(rebuilt - G).max() <= 1e-9 * np.abs(G).max()
+
+
 @pytest.fixture
 def min_kernel_csv(tmp_path):
     path = tmp_path / "min_kernel.csv"
@@ -225,7 +234,7 @@ class TestCmdDecompose:
         np.testing.assert_allclose(
             np.sum(doc["T"], axis=1), [5.0 / 6.0, 9.0 / 10.0, 11.0 / 12.0]
         )
-        assert doc["reconstruction_error"] < 1e-12
+        assert_chain_gives(doc, MIN_KERNEL)
         assert doc["signature"] == [1, 1, 1]
 
     @pytest.mark.parametrize(
@@ -238,9 +247,9 @@ class TestCmdDecompose:
         write_json_matrix(path, G)
         assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert sorted(doc) == ["T", "c", "command", "kappa", "reconstruction_error", "schema",
-                               "signature", "tolerances", "u", "verdict", "version"]
-        assert doc["schema"] == "gaussgreen.decomposition/3"
+        assert sorted(doc) == ["T", "c", "command", "kappa", "schema", "signature",
+                               "tolerances", "u", "verdict", "version"]
+        assert doc["schema"] == "gaussgreen.decomposition/4"
         g = decomposition.decompose(G).g
         T, u, c = np.asarray(doc["T"]), np.asarray(doc["u"]), doc["c"]
         s = np.asarray(doc["signature"], dtype=float)
@@ -278,7 +287,7 @@ class TestCmdDecompose:
         assert doc["verdict"] == "id"
         validate_chain(ChainSpec(np.asarray(doc["T"]), np.asarray(doc["kappa"]), doc["c"]))
         assert min(doc["kappa"]) > 0.0
-        assert doc["reconstruction_error"] < 1e-9
+        assert_chain_gives(doc, G)
 
     def test_counterexample_exits_three(self, tmp_path):
         _, G = sheet_counterexample()
@@ -289,7 +298,7 @@ class TestCmdDecompose:
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "not_id"
-        assert doc["schema"] == "gaussgreen.decomposition/3"
+        assert doc["schema"] == "gaussgreen.decomposition/4"
         assert doc["witness"]["entry"] == [0, 1]
 
 
@@ -339,10 +348,14 @@ class TestCmdSimulate:
         cases = [
             (None, f"cannot read chain from {path}: [Errno 2] No such file or directory"),
             ("not json", f"cannot read chain from {path}: Expecting value: line 1 column 1"),
-            ("[1]", f"{path}: missing or malformed chain fields: "),
+            ("[1]", f"{path}: expected an object with 'T' and 'kappa' fields\n"),
+            ("1", f"{path}: expected an object with 'T' and 'kappa' fields\n"),
             (json.dumps({"T": [[0.5]]}), f"{path}: missing or malformed chain fields: 'kappa'"),
-            (chain % "true", f"{path}: c must be a number, got True"),
-            (chain % '"2"', f"{path}: c must be a number, got '2'"),
+            (chain % "true", f"{path}: c must be a number, got True\n"),
+            (chain % '"2"', f"{path}: c must be a number, got '2'\n"),
+            (chain % "null", f"{path}: c must be a number, got None\n"),
+            (chain % "[2]", f"{path}: c must be a number, got [2]\n"),
+            (chain % '{"c": 2}', f"{path}: c must be a number, got {{'c': 2}}\n"),
         ]
         for text, message in cases:
             if text is not None:
@@ -367,23 +380,26 @@ class TestCmdSimulate:
 
     @pytest.mark.parametrize("ct", [False, True], ids=["visits", "occupation"])
     def test_decomposition_2_file_gives_the_same_report(self, min_kernel_csv, tmp_path, ct):
-        # A decomposition/2 file is the /3 document plus g; simulate reads
-        # neither g nor the schema.
-        new = tmp_path / "dec3.json"
+        # A decomposition/3 file is the /4 document plus reconstruction_error,
+        # and a /2 file is that plus g; simulate reads neither field nor the
+        # schema.
+        new = tmp_path / "dec4.json"
         main(["decompose", "--input", str(min_kernel_csv), "--out", str(new)])
         doc = json.loads(new.read_text())
-        doc.update(schema="gaussgreen.decomposition/2",
-                   g=decomposition.decompose(MIN_KERNEL).g.tolist())
-        old = tmp_path / "dec2.json"
-        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        olds = []
+        for version, fields in ((3, {"reconstruction_error": 1.1102230246251565e-16}),
+                                (2, {"g": decomposition.decompose(MIN_KERNEL).g.tolist()})):
+            doc.update(schema=f"gaussgreen.decomposition/{version}", **fields)
+            olds.append(tmp_path / f"dec{version}.json")
+            olds[-1].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         reports = []
-        for dec_path in (new, old):
+        for dec_path in (new, *olds):
             out = tmp_path / f"sim_{dec_path.stem}.json"
             argv = ["simulate", "--input", str(dec_path), "--paths", "5000", "--seed", "11",
                     "--out", str(out)]
             assert main(argv + ["--ct"] * ct) == 0
             reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestCmdLaplace:
@@ -519,14 +535,6 @@ class TestExitCodes:
             "error: internal numerical failure "
             "(cannot certify spectral radius of T below 1)\n")
         assert not out.exists()
-
-    def test_detailed_balance_failure_exits_four(self, min_kernel_csv, monkeypatch, capsys):
-        def fail(dec):
-            raise decomposition.SymmetryViolationError((0, 1), 1.0)
-
-        monkeypatch.setattr(decomposition, "symmetric_green", fail)
-        assert main(["decompose", "--input", str(min_kernel_csv)]) == 4
-        assert "detailed balance violated at (0, 1)" in capsys.readouterr().err
 
     def test_impossible_allocation_is_input_error(self, min_kernel_csv, tmp_path):
         # Each size asks numpy for petabytes in one array; the address-space

@@ -17,6 +17,7 @@ from gaussgreen.decomposition import (
     GreenDecomposition,
     NotInfinitelyDivisibleError,
     NumericalFailureError,
+    SymmetryViolationError,
     decompose,
     reconstruct,
     symmetric_green,
@@ -163,20 +164,26 @@ class TestDecompose:
         assert len(cls.verdict.signature.components) == n_components
         dec = decompose(G, tol)
         np.testing.assert_array_equal(dec.signature.signs, cls.verdict.signature.signs)
-        assert dec.reconstruction_error <= 1e-9
+        assert np.abs(reconstruct(dec) - G).max() <= 1e-9 * np.abs(G).max()
 
     def test_chain_is_tied_to_g(self):
-        # T shrunk by a relative 1e-6, with the difference moved into kappa,
-        # is still a valid chain and leaves g, detailed balance and the
-        # reconstruction as they were; only (I - T) g 𝟙 = 𝟙 sees it.
-        G = fbm_cov(np.arange(1.0, 9.0), 0.5)
+        # T shrunk by a relative 1e-6, or one entry of it grown by 1e-6, with
+        # the difference moved into kappa, is still a valid chain; only
+        # (I - T) g 𝟙 = 𝟙 sees it.  The reconstruction of G and detailed
+        # balance read g, u, c and the signature alone and still pass, which
+        # is why decompose does not run them.
+        G = fbm_cov(np.arange(1.0, 41.0), 0.5)
         dec = decompose(G)
-        assert decomposition._validate(dec, G) == dec.reconstruction_error
-        T = dec.T * (1.0 - 1e-6)
-        bad = replace(dec, T=T, kappa=dec.kappa + (dec.T - T).sum(axis=1))
-        validate_chain(ChainSpec(bad.T, bad.kappa, bad.c))
-        with pytest.raises(NumericalFailureError, match=r"\(I - T\) g 𝟙"):
-            decomposition._validate(bad, G)
+        decomposition._validate(dec)
+        grown = dec.T.copy()
+        grown[3, 4] *= 1.0 + 1e-6
+        for T in (dec.T * (1.0 - 1e-6), grown):
+            bad = replace(dec, T=T, kappa=dec.kappa + (dec.T - T).sum(axis=1))
+            validate_chain(ChainSpec(bad.T, bad.kappa, bad.c))
+            with pytest.raises(NumericalFailureError, match=r"^\(I - T\) g 𝟙 deviates"):
+                decomposition._validate(bad)
+            assert np.abs(reconstruct(bad) - G).max() <= 1e-15 * np.abs(G).max()
+            symmetric_green(bad)
 
     def test_chain_from_the_certificate_is_the_conjugated_inverse(self):
         # T is built in the certificate's buffer c' I - S C⁻¹ S; it has the
@@ -324,6 +331,17 @@ class TestSymmetricGreen:
         np.testing.assert_allclose(g_sym, [[0.25]])  # g / u^2 = 1 / 4
         np.testing.assert_allclose(mu, [4.0])
 
+    def test_broken_balance_raises(self):
+        # g_02 grown by 1 % breaks g_02 u_0² = g_20 u_2²: g_sym = c Gp / (u uᵀ)
+        # is 1/9 at (0, 2) and (2, 0), and (0, 2) is now 1 % above it.
+        dec = decompose(MIN_KERNEL)
+        g = dec.g.copy()
+        g[0, 2] *= 1.01
+        with pytest.raises(SymmetryViolationError, match=r"violated at \(0, 2\)") as err:
+            symmetric_green(replace(dec, g=g))
+        assert err.value.index == (0, 2)
+        assert err.value.gap == pytest.approx(0.01 / 9.0, rel=1e-12)
+
 
 class TestOracles:
     def neumann_sum(self, T, tail=1e-8):
@@ -378,7 +396,6 @@ class TestValidationCorpus:
             dec = decompose(G)
             rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
             assert rel <= 1e-10
-            assert dec.reconstruction_error == rel
             assert isinstance(dec, GreenDecomposition)
 
 
@@ -414,7 +431,6 @@ def assert_round_trip_in_detailed_balance(G):
     dec = decompose(G)
     rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
     assert rel <= 1e-9
-    assert dec.reconstruction_error == rel
     g_sym, mu = symmetric_green(dec)
     np.testing.assert_array_equal(mu, dec.u**2)
     np.testing.assert_allclose(g_sym, g_sym.T, rtol=1e-9, atol=1e-12)
