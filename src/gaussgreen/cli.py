@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import tempfile
 
@@ -78,9 +79,21 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
         raise ParseError(f"cannot read {path}: {err}") from err
 
 
+def _report_mode(out: str) -> int:
+    """The mode ``open(out, "w")`` leaves: the existing file's, or 0o666
+    less the umask for a new file."""
+    try:
+        return stat.S_IMODE(os.stat(out).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only portable read of the umask sets it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_report(doc: dict, out: str | None) -> None:
     """Write ``doc`` as it is encoded: to stdout, or through a temp file
-    that replaces ``out`` only once the whole report is written."""
+    that replaces ``out`` only once the whole report is written, with the
+    mode that writing ``out`` in place would leave."""
     chunks = textio.encode_report(doc)
     if out is None:
         for chunk in chunks:
@@ -91,6 +104,7 @@ def write_report(doc: dict, out: str | None) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, _report_mode(out))
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, out)

@@ -146,12 +146,13 @@ _GUIDE_ENTRIES = 1 << 18
 # Tally cells (start states x paths x states) simulated together: 2^20
 # cells, 4 MiB of int32 or 8 MiB of float64 tallies.  A chain whose tallies
 # fit runs as one group; a larger one runs in the fewest groups that fit,
-# each as many start states as fit, and always at least one.  On a 2-vCPU
-# Xeon VM with one BLAS thread, the verify_mc benchmark (10 000 paths per
-# start) peaks at 65.6-65.7 MB resident at this budget (seeds 1 and 7, ten
-# runs each), against 68.4-68.9 MB at 2^16 cells; 2^21 and 2^22 cells ran
-# it no faster and peaked at 84.9 and 115.4 MB, over the benchmark's 5 %
-# memory bound.
+# each as many start states as fit, and always at least one.  One group's
+# tallies are live at a time.  On a 2-vCPU Xeon VM with one BLAS thread,
+# the verify_mc benchmark (10 000 paths per start) peaks at 62.5-63.9 MB
+# resident at this budget (seeds 1-10), against 56.5-56.7 MB at 2^16
+# cells, which ran it at 0.7x the ops/s; 2^21 cells ran it no faster and
+# peaked at 78.0-78.3 MB (seeds 1-3), over the benchmark's 5 % memory
+# bound.
 _GROUP_CELLS = 1 << 20
 
 
@@ -276,6 +277,10 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
                 stderr[start] = np.sqrt(np.add.reduce(f, axis=0) / (n_paths - 1)) / np.sqrt(n_paths)
             else:
                 stderr[start] = 0.0
+            # The next float copy of the counts is made only once this is freed.
+            del f
+        # The next group's tallies are allocated only once these are freed.
+        del tallies, flat
     return SimReport(
         estimate=estimate,
         stderr=stderr,
@@ -343,6 +348,24 @@ def _rates(t, n: int) -> np.ndarray:
     return t
 
 
+# Gaussian samples drawn and multiplied by the factor together: about
+# _LAPLACE_CELLS values (1 MiB of float64) a block, in whole 1024-row
+# blocks, the last of which also takes the remainder.  The rows of z come
+# from the stream in order, so the blocks draw what one (n_samples, n) draw
+# would.  No block is short: with OpenBLAS 0.3.31, a 1- or 17-row product
+# rounded some rows unlike the same rows of a long product.  With this
+# rule, on a 2-vCPU AVX-512 Xeon, the sampled values matched one product's
+# bit for bit for n = 1-79 and 80-200 in steps of 7, six sample counts
+# each, but at n = 199 (and n = 150, 171, 192 with two BLAS threads): a few
+# rows there differ by roundoff, the estimate and stderr did not.
+_LAPLACE_CELLS = 1 << 17
+
+
+def _laplace_rows(n: int) -> int:
+    """Sample rows per block for an ``n``-dimensional factor."""
+    return max(1024, (_LAPLACE_CELLS // n) // 1024 * 1024)
+
+
 def laplace(G, t, n_samples: int = 0, seed=0) -> tuple[float, SimReport | None]:
     """``(exact, mc)`` for the Laplace transform of the squared vector,
     ``det(I + G diag(t))^(-1/2) = E exp(-sum_i t_i x_i^2 / 2)``, from one
@@ -369,14 +392,24 @@ def laplace_mc(L: np.ndarray, t: np.ndarray, n_samples: int, seed) -> SimReport:
     """Monte-Carlo half of :func:`laplace` for a validated factor and rates.
 
     Averages ``exp(-sum_i t_i x_i^2 / 2)`` over ``n_samples >= 1`` draws
-    ``x = L z``, ``z`` from ``default_rng(seed)``.  Not exported; it keeps a
-    public name so that the benchmark times it as its own layer function.
+    ``x = L z``, ``z`` from ``default_rng(seed)``, drawn and multiplied in
+    blocks of rows, so that no whole ``(n_samples, n)`` array is held.  Not
+    exported; it keeps a public name so that the benchmark times it as its
+    own layer function.
     """
-    x = np.random.default_rng(seed).standard_normal((int(n_samples), L.shape[0])) @ L.T
+    n_samples = int(n_samples)
+    n = L.shape[0]
+    rng = np.random.default_rng(seed)
     # A column at a rate of 0 weighs nothing, even where its square would
     # overflow (inf * 0 is NaN).
-    x[:, t == 0.0] = 0.0
-    with np.errstate(over="ignore"):  # an infinite exponent gives exp(-inf) = 0
-        values = np.exp(-0.5 * np.square(x, out=x) @ t)
+    unrated = t == 0.0
+    values = np.empty(n_samples)
+    step = _laplace_rows(n)
+    bounds = [k * step for k in range(max(1, n_samples // step))] + [n_samples]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x = rng.standard_normal((hi - lo, n)) @ L.T
+        x[:, unrated] = 0.0
+        with np.errstate(over="ignore"):  # an infinite exponent gives exp(-inf) = 0
+            np.exp(-0.5 * np.square(x, out=x) @ t, out=values[lo:hi])
     stderr = float(values.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return SimReport(float(values.mean()), stderr, int(n_samples), int(seed))
+    return SimReport(float(values.mean()), stderr, n_samples, int(seed))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -1071,6 +1072,26 @@ def test_failed_write_mid_report_keeps_the_old_report(tmp_path, min_kernel_csv, 
         ["dec.json", "min_kernel.csv"] if out_exists else ["min_kernel.csv"])
     if out_exists:
         assert out.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_out_report_gets_the_mode_open_gives(tmp_path, min_kernel_csv, umask):
+    # The temp file is made 0600; a new report gets 0666 less the umask, as
+    # `check > report.json` would give it, and a replaced one keeps its mode.
+    new, kept, opened = tmp_path / "new.json", tmp_path / "kept.json", tmp_path / "opened.json"
+    kept.write_text("old report\n")
+    kept.chmod(0o604)
+    old = os.umask(umask)
+    try:
+        opened.open("w").close()
+        for out in (new, kept):
+            assert main(["check", "--input", str(min_kernel_csv), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (new, kept, opened)}
+    assert mode == {"new.json": 0o666 & ~umask, "kept.json": 0o604,
+                    "opened.json": 0o666 & ~umask}
+    assert kept.read_text() == new.read_text()
 
 
 class TestCmdZoo:

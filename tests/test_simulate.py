@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,6 +339,20 @@ class TestLaplaceMc:
         assert report.stderr == float(values.std(ddof=1) / np.sqrt(500))
 
 
+@pytest.mark.parametrize("n", [1, 3, 10, 30, 32, 50, 64])
+def test_laplace_blocks_match_one_draw(n):
+    # Three blocks, the last with 17 more rows, give the report of one
+    # (n_samples, n) draw multiplied by the factor at once.
+    G = random_spd(n, np.random.default_rng(n))
+    t = np.random.default_rng(n + 1).uniform(0.05, 0.5, n)
+    n_samples = 3 * simulate._laplace_rows(n) + 17
+    x = np.random.default_rng(7).standard_normal((n_samples, n)) @ np.linalg.cholesky(G).T
+    values = np.exp(-0.5 * np.square(x) @ t)
+    _, report = laplace(G, t, n_samples=n_samples, seed=7)
+    assert report.estimate == float(values.mean())
+    assert report.stderr == float(values.std(ddof=1) / np.sqrt(n_samples))
+
+
 def _visit_moments(g, c, ct):
     """Exact raw moments 1-4 of the visits ``N_ij`` to j from a start at i
     or, when ``ct``, of the occupation time: ``N_ij`` exponential(c) sojourns.
@@ -380,6 +396,42 @@ def test_stderr_matches_exact_second_moments(ct):
     sd = np.sqrt(mu4 / n_paths - var**2 * (n_paths - 3) / (n_paths * (n_paths - 1)))
     sample_var = report.stderr**2 * n_paths
     assert np.all(np.abs(sample_var - var) <= 5.0 * sd), (sample_var / var, sd / var)
+
+
+def _traced_peak(run, *args):
+    """Peak bytes ``tracemalloc`` sees during ``run(*args)``."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_laplace_draws_samples_in_blocks():
+    from gaussgreen.kernels import fbm_cov
+
+    # 200 000 samples of 50 coordinates: z and x = z Lᵀ whole took 154 MB;
+    # in blocks, the values vector (1.6 MB) and a block of each (1 MiB).
+    G = fbm_cov(np.arange(1.0, 51.0), 0.5)
+    t = np.random.default_rng(0).uniform(0.05, 0.5, 50)
+    laplace(G, t, n_samples=10, seed=1)  # imports and caches are not counted
+    assert _traced_peak(laplace, G, t, 200_000, 1) <= 8e6
+
+
+def test_one_group_of_tallies_at_a_time(monkeypatch):
+    from gaussgreen.decomposition import decompose
+    from gaussgreen.kernels import fbm_cov
+
+    # 2^16 cells hold 3 starts of 1000 paths on 20 states.  Allocating a
+    # group's occupation times while the last group's were held peaked at
+    # 2.52 groups; one group and the paths' index arrays take 1.52.
+    monkeypatch.setattr(simulate, "_GROUP_CELLS", 1 << 16)
+    dec = decompose(fbm_cov(np.arange(1.0, 21.0), 0.5))
+    chain = ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c)
+    simulate_ct_green(chain, 10, 1)
+    group_bytes = 3 * 1000 * 20 * 8
+    assert _traced_peak(simulate_ct_green, chain, 1000, 1) <= 1.8 * group_bytes
 
 
 def test_report_to_dict_excludes_timing_by_default():
