@@ -5,21 +5,21 @@ Once ``S G S`` has an M-matrix inverse ``A = c I - B``, the positive vector
 ``D A D⁻¹`` row-sum positive.  The matrix ``T = D (B / c) D⁻¹`` is then a
 strictly substochastic transition matrix, the killed chain it defines is
 transient, and its expected-visit-count matrix ``g = (I - T)⁻¹`` reproduces
-the covariance through ``c · D (S G S) D⁻¹ = g``.  This module builds that
-object from the verdict on the correlation matrix ``C = E G E``,
-``E = diag(G)^{-1/2}``: its signature, and its certificate's
+the covariance through ``c · D (S G S) D⁻¹ = g``, so
+``G = S D⁻¹ (I - T)⁻¹ D S / c``.  The decomposition is that chain: its
+signature, ``u``, ``c``, ``T`` and the killing ``kappa``.  Since ``B`` is
+symmetric, ``T`` is in detailed balance with the weights ``μ = u²``:
+``μ_i T_ij = μ_j T_ji``.
+
+This module builds the chain from the verdict on the correlation matrix
+``C = E G E``, ``E = diag(G)^{-1/2}``: its signature, and its certificate's
 ``c' I - S C⁻¹ S``, whose off-diagonals scaled by ``E`` on both sides are
-those of ``-A = -S E C⁻¹ E S``; ``c = max diag A``, and ``g`` in that closed
-form with no inversion.  It verifies what it builds: the chain
-(:func:`validate_chain`, certified by the expected visit counts ``x = g 𝟙``
-with no solve) and the link ``(I - T) x = 𝟙`` between ``T``, built from
-``C⁻¹``, and ``g``, built from ``G``.  ``(I - T) g = I`` in full would only
-repeat the residual of ``C⁻¹``, which its Cholesky factor bounds.  Neither
-:func:`reconstruct` nor :func:`symmetric_green` reads ``T`` or ``kappa``:
-they undo the diagonal scaling that made ``g`` from ``G``, and retest the
-symmetry of ``G`` that :func:`covariance` already checked.
-:func:`symmetric_green` derives from ``g`` and ``u`` the symmetric form
-``g̃ = c · D (S G S) D`` with the weights ``μ = u²`` of detailed balance.
+those of ``-A = -S E C⁻¹ E S``; ``c = max diag A``.  It verifies what it
+builds: the chain (:func:`validate_chain`, certified by the expected visit
+counts ``x = g 𝟙 = c D (S G S) u`` with no solve) and the link
+``(I - T) x = 𝟙`` between ``T``, built from ``C⁻¹``, and ``x``, built from
+``G``.  ``(I - T) g = I`` in full would only repeat the residual of
+``C⁻¹``, which its Cholesky factor bounds.
 """
 
 from __future__ import annotations
@@ -29,23 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import Signature, is_id_square
-from .linalg import (
-    DEFAULT_TOL,
-    SYM_TOL,
-    Tolerances,
-    abs_max,
-    covariance,
-)
+from .linalg import DEFAULT_TOL, Tolerances, abs_max, covariance
 from .simulate import ChainSpec, InvalidChainError, validate_chain
 
 __all__ = [
     "GreenDecomposition",
     "NotInfinitelyDivisibleError",
     "NumericalFailureError",
-    "SymmetryViolationError",
     "decompose",
-    "reconstruct",
-    "symmetric_green",
 ]
 
 
@@ -61,20 +52,12 @@ class NumericalFailureError(Exception):
     """A constructed decomposition violated one of its own identities."""
 
 
-class SymmetryViolationError(Exception):
-    """The weighted visit kernel failed detailed balance."""
-
-    def __init__(self, index, gap):
-        self.index = index
-        self.gap = float(gap)
-        super().__init__(
-            f"detailed balance violated at {index}: gap {gap:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class GreenDecomposition:
     """Transient killed chain realizing a covariance as a scaled Green matrix.
+
+    Its expected visit counts ``g = (I - T)⁻¹`` equal ``c D Gp D⁻¹`` with
+    ``D = diag(1/u)``, so ``G = S D⁻¹ g D S / c``.
 
     Attributes
     ----------
@@ -86,11 +69,10 @@ class GreenDecomposition:
     c : float
         Jump rate; ``Gp⁻¹ = c I - B`` with ``B >= 0``.
     T : ndarray
-        Substochastic transition matrix ``T_ij = B_ij u_j / (c u_i)``.
+        Substochastic transition matrix ``T_ij = B_ij u_j / (c u_i)``, in
+        detailed balance with ``μ = u²``.
     kappa : ndarray
         Per-state killing probabilities ``1 - T @ 𝟙``.
-    g : ndarray
-        Expected visit counts ``(I - T)⁻¹``; equals ``c D Gp D⁻¹``.
     """
 
     signature: Signature
@@ -98,7 +80,6 @@ class GreenDecomposition:
     c: float
     T: np.ndarray
     kappa: np.ndarray
-    g: np.ndarray
 
     @property
     def n(self) -> int:
@@ -135,78 +116,44 @@ def decompose(G, tol: Tolerances = DEFAULT_TOL) -> GreenDecomposition:
     # and then T: its off-diagonals are those of -S C⁻¹ S exactly, so scaled
     # by D on both sides they carry the same bits as a conjugation of D C⁻¹ D,
     # and its diagonal is c - a.  The correlation matrices are not needed
-    # below.  A second buffer takes Gp = S G S and then g.
+    # below.  A second buffer takes Gp = S G S for u and x = g 𝟙.
     T = verdict.cert.B
     del verdict, cov
     T *= d[:, None]
     T *= d
     T.flat[:: T.shape[0] + 1] = c - a
-    g = sig.conjugate(G)
-    u = g.sum(axis=1)
+    Gp = sig.conjugate(G)
+    u = Gp.sum(axis=1)
+    x = Gp @ u
+    del Gp
+    x *= c
+    x /= u
     T *= u
     T /= (c * u)[:, None]
     kappa = 1.0 - T.sum(axis=1)
-    g *= c
-    g *= u
-    g /= u[:, None]
 
-    dec = GreenDecomposition(signature=sig, u=u, c=c, T=T, kappa=kappa, g=g)
-    _validate(dec)
+    dec = GreenDecomposition(signature=sig, u=u, c=c, T=T, kappa=kappa)
+    _validate(dec, x)
     return dec
 
 
-def _validate(dec: GreenDecomposition) -> None:
-    """Check the chain of ``dec`` and its link to ``g``.
+def _validate(dec: GreenDecomposition, x: np.ndarray) -> None:
+    """Check the chain of ``dec`` and its link to ``x = g 𝟙``, read from ``G``.
 
     The chain must pass :func:`validate_chain` at the default zero band, the
     one :func:`simulate` reads it with, so ``T`` and ``kappa`` are nonnegative
     up to roundoff however wide the band of the verdict was.  Its transience
-    certificate reads ``x = g 𝟙``, which any positive vector may be, so it
-    needs no solve of ``(I - T) x = 𝟙``; the matvec below checks that ``x``
-    is that solve.
+    certificate reads ``x``, which any positive vector may be, so it needs no
+    solve of ``(I - T) x = 𝟙``; the matvec below checks that ``x`` is that
+    solve.
     """
-    x = dec.g.sum(axis=1)
     try:
         validate_chain(ChainSpec(dec.T, dec.kappa, dec.c), x=x)
     except InvalidChainError as exc:
         raise NumericalFailureError(str(exc)) from None
 
-    # One matvec on x ties T to g.
+    # One matvec on x ties T to G.
     r = x - dec.T @ x
     r -= 1.0
     if abs_max(r) > 1e-10 * max(1.0, abs_max(x)):
         raise NumericalFailureError("(I - T) g 𝟙 deviates from 𝟙")
-
-
-def reconstruct(dec: GreenDecomposition) -> np.ndarray:
-    """Invert the decomposition: ``S diag(u) g diag(1/u) S / c``."""
-    out = np.divide(dec.u[:, None], dec.u)
-    out *= dec.g
-    dec.signature.conjugate(out, out=out)
-    out /= dec.c
-    return out
-
-
-def symmetric_green(dec: GreenDecomposition):
-    """Symmetric density of the visit kernel and its reference weights.
-
-    Returns ``(g_sym, mu)`` with ``mu = u²`` and ``g_sym_ij = g_ij / mu_j``,
-    which is ``c Gp_ij / (u_i u_j)`` with ``Gp = S G S``.  It is symmetric,
-    i.e. the detailed-balance identity ``g_ij μ_i = g_ji μ_j`` holds within
-    tolerance whenever ``G`` passed :func:`covariance`'s symmetry check, so
-    :func:`decompose` does not run it.
-
-    Raises
-    ------
-    SymmetryViolationError
-        When detailed balance fails, which signals that ``dec`` was not
-        built from a symmetric covariance.
-    """
-    mu = dec.u**2
-    g_sym = dec.g / mu
-    gap = np.subtract(g_sym, g_sym.T)
-    np.abs(gap, out=gap)
-    if float(gap.max()) > SYM_TOL * abs_max(g_sym):
-        index = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise SymmetryViolationError(tuple(int(v) for v in index), gap[index])
-    return g_sym, mu

@@ -37,3 +37,19 @@ def signature_product_around(A, cycle):
         i, j = cycle[t], cycle[(t + 1) % k]
         prod *= -int(np.sign(A[i, j]))
     return prod
+
+
+def visit_matrix(G, dec):
+    """Expected visit counts ``c D_u⁻¹ S G S D_u`` of ``dec``'s chain, read
+    from ``G`` and not from ``T``."""
+    g = dec.signature.conjugate(G)
+    g *= dec.c * dec.u
+    g /= dec.u[:, None]
+    return g
+
+
+def green_from_chain(signs, u, c, T):
+    """``S D_u (I - T)⁻¹ D_u⁻¹ S / c``: the covariance a killed chain realizes,
+    rebuilt from its transition matrix ``T``."""
+    su = np.asarray(signs, dtype=float) * np.asarray(u)
+    return su[:, None] * np.linalg.inv(np.eye(len(T)) - np.asarray(T)) / su / c

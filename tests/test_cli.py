@@ -20,7 +20,7 @@ from gaussgreen.cli import default_sweep_grids, load_matrix, main
 from gaussgreen.decomposition import NumericalFailureError
 from gaussgreen.kernels import brownian_cov, fbm_cov, random_green, sheet_counterexample
 from gaussgreen.simulate import ChainSpec, validate_chain
-from helpers import MIN_KERNEL, random_spd
+from helpers import MIN_KERNEL, green_from_chain, random_spd, visit_matrix
 
 
 def write_csv(path, M, header=None):
@@ -37,9 +37,7 @@ def write_json_matrix(path, M):
 def assert_chain_gives(doc, G):
     """``S D_u (I - T)⁻¹ D_u⁻¹ S / c``, rebuilt from a decompose report's
     own fields, is ``G`` within 1e-9 relative."""
-    T, c = np.asarray(doc["T"]), doc["c"]
-    su = np.asarray(doc["signature"]) * np.asarray(doc["u"])
-    rebuilt = su[:, None] * np.linalg.inv(np.eye(len(T)) - T) / su / c
+    rebuilt = green_from_chain(doc["signature"], doc["u"], doc["c"], doc["T"])
     assert np.abs(rebuilt - G).max() <= 1e-9 * np.abs(G).max()
 
 
@@ -251,7 +249,7 @@ class TestCmdDecompose:
         assert sorted(doc) == ["T", "c", "command", "kappa", "schema", "signature",
                                "tolerances", "u", "verdict", "version"]
         assert doc["schema"] == "gaussgreen.decomposition/4"
-        g = decomposition.decompose(G).g
+        g = visit_matrix(G, decomposition.decompose(G))
         T, u, c = np.asarray(doc["T"]), np.asarray(doc["u"]), doc["c"]
         s = np.asarray(doc["signature"], dtype=float)
         from_chain = np.linalg.inv(np.eye(len(T)) - T)
@@ -389,7 +387,7 @@ class TestCmdSimulate:
         doc = json.loads(new.read_text())
         olds = []
         for version, fields in ((3, {"reconstruction_error": 1.1102230246251565e-16}),
-                                (2, {"g": decomposition.decompose(MIN_KERNEL).g.tolist()})):
+                                (2, {"g": visit_matrix(MIN_KERNEL, decomposition.decompose(MIN_KERNEL)).tolist()})):
             doc.update(schema=f"gaussgreen.decomposition/{version}", **fields)
             olds.append(tmp_path / f"dec{version}.json")
             olds[-1].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,7 @@ from gaussgreen.decomposition import (
     GreenDecomposition,
     NotInfinitelyDivisibleError,
     NumericalFailureError,
-    SymmetryViolationError,
     decompose,
-    reconstruct,
-    symmetric_green,
 )
 from gaussgreen.kernels import (
     brownian_cov,
@@ -31,7 +29,7 @@ from gaussgreen.kernels import (
 )
 from gaussgreen.linalg import Tolerances, covariance, eye_minus
 from gaussgreen.simulate import ChainSpec, simulate_green, validate_chain
-from helpers import MIN_KERNEL, min_kernel
+from helpers import MIN_KERNEL, green_from_chain, min_kernel, visit_matrix
 
 # expected visit-count matrix of the min-kernel chain: 2 * G_ij * u_j / u_i
 MIN_KERNEL_G = np.array(
@@ -43,6 +41,18 @@ def scaling_vectors(G):
     """``u`` of the decomposition, ``(S G S) 𝟙``, and of the certificate,
     ``(S C S) 𝟙`` on the correlation matrix ``C``, computed apart."""
     return decompose(G).u, is_id_square(G).cert.u
+
+
+def rebuilt(dec):
+    """The covariance ``dec``'s chain realizes, rebuilt from its ``T``."""
+    return green_from_chain(dec.signature.signs, dec.u, dec.c, dec.T)
+
+
+def assert_detailed_balance(dec):
+    """``μ_i T_ij = μ_j T_ji`` with ``μ = u²``, within 1e-12 of the largest
+    ``μ_i T_ij``."""
+    flow = (dec.u**2)[:, None] * dec.T
+    assert np.abs(flow - flow.T).max() <= 1e-12 * np.abs(flow).max()
 
 
 def correlation(G):
@@ -104,29 +114,28 @@ class TestDecompose:
         np.testing.assert_allclose(
             dec.T.sum(axis=1), [5.0 / 6.0, 9.0 / 10.0, 11.0 / 12.0], atol=1e-12
         )
-        np.testing.assert_allclose(dec.g, MIN_KERNEL_G, atol=1e-10)
-        np.testing.assert_allclose(
-            (np.eye(3) - dec.T) @ dec.g, np.eye(3), atol=1e-12
-        )
+        g = visit_matrix(MIN_KERNEL, dec)
+        np.testing.assert_allclose(g, MIN_KERNEL_G, atol=1e-10)
+        np.testing.assert_allclose((np.eye(3) - dec.T) @ g, np.eye(3), atol=1e-12)
 
     def test_identity(self):
         dec = decompose(np.eye(3))
         assert dec.c == pytest.approx(1.0)
         np.testing.assert_allclose(dec.T, 0.0)
         np.testing.assert_allclose(dec.kappa, 1.0)
-        np.testing.assert_allclose(dec.g, np.eye(3))
+        np.testing.assert_allclose(visit_matrix(np.eye(3), dec), np.eye(3))
 
     def test_scaled_min_kernel_round_trip(self):
         G = scale_conjugate(MIN_KERNEL, [2.0, 1.0, 1.0])
         dec = decompose(G)
-        np.testing.assert_allclose(reconstruct(dec), G, atol=1e-10)
+        np.testing.assert_allclose(rebuilt(dec), G, atol=1e-10)
 
     def test_conjugated_input_round_trip(self):
         S0 = np.diag([1.0, -1.0, 1.0])
         G = S0 @ MIN_KERNEL @ S0
         dec = decompose(G)
         assert not dec.signature.is_trivial
-        np.testing.assert_allclose(reconstruct(dec), G, atol=1e-10)
+        np.testing.assert_allclose(rebuilt(dec), G, atol=1e-10)
 
     def test_not_id_raises(self):
         _, G = sheet_counterexample()
@@ -144,7 +153,7 @@ class TestDecompose:
         G[3, 3] = 2.0
         dec = decompose(G)
         assert len(dec.signature.components) == 2
-        np.testing.assert_allclose(reconstruct(dec), G, atol=1e-10)
+        np.testing.assert_allclose(rebuilt(dec), G, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-6, 0.01])
     @pytest.mark.parametrize(
@@ -164,26 +173,28 @@ class TestDecompose:
         assert len(cls.verdict.signature.components) == n_components
         dec = decompose(G, tol)
         np.testing.assert_array_equal(dec.signature.signs, cls.verdict.signature.signs)
-        assert np.abs(reconstruct(dec) - G).max() <= 1e-9 * np.abs(G).max()
+        # The scaling undone on g read from G.  A rebuild from T misses 1e-9
+        # on the close points by 1.4e-16: T_22 = 1 - 1e-9 holds its distance
+        # to 1 to 1e-7 relative, which a chain of uniform rate c cannot avoid.
+        su = dec.signature.signs * dec.u
+        back = su[:, None] * visit_matrix(G, dec) / su / dec.c
+        assert np.abs(back - G).max() <= 1e-9 * np.abs(G).max()
 
     def test_chain_is_tied_to_g(self):
         # T shrunk by a relative 1e-6, or one entry of it grown by 1e-6, with
         # the difference moved into kappa, is still a valid chain; only
-        # (I - T) g 𝟙 = 𝟙 sees it.  The reconstruction of G and detailed
-        # balance read g, u, c and the signature alone and still pass, which
-        # is why decompose does not run them.
+        # (I - T) g 𝟙 = 𝟙, with g 𝟙 read from G, sees it.
         G = fbm_cov(np.arange(1.0, 41.0), 0.5)
         dec = decompose(G)
-        decomposition._validate(dec)
+        x = visit_matrix(G, dec).sum(axis=1)
+        decomposition._validate(dec, x)
         grown = dec.T.copy()
         grown[3, 4] *= 1.0 + 1e-6
         for T in (dec.T * (1.0 - 1e-6), grown):
             bad = replace(dec, T=T, kappa=dec.kappa + (dec.T - T).sum(axis=1))
             validate_chain(ChainSpec(bad.T, bad.kappa, bad.c))
             with pytest.raises(NumericalFailureError, match=r"^\(I - T\) g 𝟙 deviates"):
-                decomposition._validate(bad)
-            assert np.abs(reconstruct(bad) - G).max() <= 1e-15 * np.abs(G).max()
-            symmetric_green(bad)
+                decomposition._validate(bad, x)
 
     def test_chain_from_the_certificate_is_the_conjugated_inverse(self):
         # T is built in the certificate's buffer c' I - S C⁻¹ S; it has the
@@ -207,6 +218,22 @@ class TestDecompose:
                 assert dec.c == c
                 np.testing.assert_array_equal(dec.T, T)
                 assert np.array_equal(np.signbit(dec.T), np.signbit(T))
+
+
+def test_peak_memory_is_three_matrices():
+    # Past a built Covariance the peak is T and the two working arrays of
+    # validate_chain: the buffer for S G S is freed once u and x = g 𝟙 are
+    # read from it, and no n×n g is kept.
+    n = 300
+    cov = covariance(fbm_cov(np.arange(1.0, n + 1.0), 0.5))
+    decompose(cov)
+    tracemalloc.start()
+    try:
+        decompose(cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def scaled_draws():
@@ -252,7 +279,7 @@ def test_decompose_and_simulate_certify_the_same_chains():
             continue
         chains += 1
         rho = validate_chain(ChainSpec(dec.T, dec.kappa, dec.c))
-        closed_form = transience_bound(dec.T, dec.g.sum(axis=1))
+        closed_form = transience_bound(dec.T, visit_matrix(G, dec).sum(axis=1))
         assert abs(closed_form - rho) <= 1e-9 * (1.0 - rho)
     assert chains >= 100
 
@@ -297,50 +324,48 @@ class TestUnitScaling:
 
 class TestReconstruct:
     def test_scalar_case(self):
-        dec = decompose(np.array([[2.0]]))
+        G = np.array([[2.0]])
+        dec = decompose(G)
         assert dec.c == pytest.approx(0.5)
-        np.testing.assert_allclose(dec.g, [[1.0]])
-        np.testing.assert_allclose(reconstruct(dec), [[2.0]])
+        np.testing.assert_allclose(visit_matrix(G, dec), [[1.0]])
+        np.testing.assert_allclose(rebuilt(dec), [[2.0]])
 
     def test_identity_exact(self):
         dec = decompose(np.eye(2))
-        np.testing.assert_array_equal(reconstruct(dec), np.eye(2))
+        np.testing.assert_array_equal(rebuilt(dec), np.eye(2))
 
 
 class TestSymmetricGreen:
+    """The chain is in detailed balance with ``μ = u²``, so its Green matrix
+    ``g_ij / μ_j`` is symmetric: ``μ_i T_ij = u_i B_ij u_j / c`` and ``B`` is
+    symmetric."""
+
     def test_identity(self):
         dec = decompose(np.eye(3))
-        g_sym, mu = symmetric_green(dec)
-        np.testing.assert_allclose(g_sym, np.eye(3))
-        np.testing.assert_allclose(mu, np.ones(3))
+        np.testing.assert_allclose(dec.u**2, np.ones(3))
+        assert_detailed_balance(dec)
 
     def test_min_kernel_detailed_balance(self):
         dec = decompose(MIN_KERNEL)
-        g_sym, mu = symmetric_green(dec)
+        mu = dec.u**2
         np.testing.assert_allclose(mu, [9.0, 25.0, 36.0])
-        assert dec.g[0, 1] * mu[0] == pytest.approx(dec.g[1, 0] * mu[1])
-        np.testing.assert_allclose(
-            dec.g * mu[:, None], (dec.g * mu[:, None]).T, atol=1e-10
-        )
-        Gp = dec.signature.conjugate(MIN_KERNEL)
-        np.testing.assert_allclose(g_sym, dec.c * Gp / np.outer(dec.u, dec.u), atol=1e-12)
+        assert dec.T[0, 1] * mu[0] == pytest.approx(dec.T[1, 0] * mu[1])
+        assert_detailed_balance(dec)
+        g = visit_matrix(MIN_KERNEL, dec)
+        np.testing.assert_allclose(g * mu[:, None], (g * mu[:, None]).T, atol=1e-10)
 
     def test_scalar(self):
         dec = decompose(np.array([[2.0]]))
-        g_sym, mu = symmetric_green(dec)
-        np.testing.assert_allclose(g_sym, [[0.25]])  # g / u^2 = 1 / 4
-        np.testing.assert_allclose(mu, [4.0])
+        np.testing.assert_allclose(dec.u**2, [4.0])
+        assert_detailed_balance(dec)
 
     def test_broken_balance_raises(self):
-        # g_02 grown by 1 % breaks g_02 u_0² = g_20 u_2²: g_sym = c Gp / (u uᵀ)
-        # is 1/9 at (0, 2) and (2, 0), and (0, 2) is now 1 % above it.
+        # T_01 grown by 1 % breaks μ_0 T_01 = μ_1 T_10 by 1 % of it.
         dec = decompose(MIN_KERNEL)
-        g = dec.g.copy()
-        g[0, 2] *= 1.01
-        with pytest.raises(SymmetryViolationError, match=r"violated at \(0, 2\)") as err:
-            symmetric_green(replace(dec, g=g))
-        assert err.value.index == (0, 2)
-        assert err.value.gap == pytest.approx(0.01 / 9.0, rel=1e-12)
+        T = dec.T.copy()
+        T[0, 1] *= 1.01
+        with pytest.raises(AssertionError):
+            assert_detailed_balance(replace(dec, T=T))
 
 
 class TestOracles:
@@ -364,7 +389,7 @@ class TestOracles:
         for G in instances:
             dec = decompose(G)
             np.testing.assert_allclose(
-                dec.g, self.neumann_sum(dec.T), atol=5e-7, rtol=1e-7
+                visit_matrix(G, dec), self.neumann_sum(dec.T), atol=5e-7, rtol=1e-7
             )
 
     def test_transience_quantified(self):
@@ -377,7 +402,7 @@ class TestOracles:
         dec = decompose(MIN_KERNEL)
         chain = ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c)
         report = simulate_green(chain, n_paths=200_000, seed=1234)
-        sigma = np.abs(report.estimate - dec.g) / report.stderr
+        sigma = np.abs(report.estimate - visit_matrix(MIN_KERNEL, dec)) / report.stderr
         assert float(sigma.max()) < 3.0
 
 
@@ -394,7 +419,7 @@ class TestValidationCorpus:
             corpus.append(scale_conjugate(g, d))
         for G in corpus:
             dec = decompose(G)
-            rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
+            rel = float(np.abs(rebuilt(dec) - G).max() / np.abs(G).max())
             assert rel <= 1e-10
             assert isinstance(dec, GreenDecomposition)
 
@@ -429,15 +454,9 @@ def flipped_block_inputs(draw):
 
 def assert_round_trip_in_detailed_balance(G):
     dec = decompose(G)
-    rel = float(np.abs(reconstruct(dec) - G).max() / np.abs(G).max())
+    rel = float(np.abs(rebuilt(dec) - G).max() / np.abs(G).max())
     assert rel <= 1e-9
-    g_sym, mu = symmetric_green(dec)
-    np.testing.assert_array_equal(mu, dec.u**2)
-    np.testing.assert_allclose(g_sym, g_sym.T, rtol=1e-9, atol=1e-12)
-    balance = dec.g * mu[:, None]
-    np.testing.assert_allclose(balance, balance.T, rtol=1e-9, atol=1e-12)
-    Gp = dec.signature.conjugate(G)
-    np.testing.assert_allclose(g_sym, dec.c * Gp / np.outer(dec.u, dec.u), rtol=1e-12)
+    assert_detailed_balance(dec)
     return dec
 
 

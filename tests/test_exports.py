@@ -2,6 +2,7 @@
 module reaches into another's private names."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -24,6 +25,14 @@ def test_every_export_is_the_module_object():
         for name in module.__all__:
             assert getattr(gaussgreen, name) is getattr(module, name), name
     assert isinstance(gaussgreen.__version__, str)
+
+
+def test_the_decomposition_is_its_chain():
+    fields = tuple(f.name for f in dataclasses.fields(decomposition.GreenDecomposition))
+    assert fields == ("signature", "u", "c", "T", "kappa")
+    for name in ("reconstruct", "symmetric_green", "SymmetryViolationError"):
+        assert not hasattr(gaussgreen, name), name
+        assert not hasattr(decomposition, name), name
 
 
 def _private(name):

@@ -15,7 +15,7 @@ from gaussgreen.simulate import (
     simulate_green,
     validate_chain,
 )
-from helpers import MIN_KERNEL, random_spd
+from helpers import MIN_KERNEL, random_spd, visit_matrix
 
 CHAIN_2x2 = ChainSpec(
     T=np.array([[0.5, 0.25], [0.25, 0.25]]),
@@ -148,7 +148,7 @@ class TestSimulateGreen:
         dec = decompose(MIN_KERNEL)
         chain = ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c)
         report = simulate_green(chain, n_paths=150_000, seed=99)
-        sigma = np.abs(report.estimate - dec.g) / report.stderr
+        sigma = np.abs(report.estimate - visit_matrix(MIN_KERNEL, dec)) / report.stderr
         assert float(sigma.max()) < 3.5
 
     def test_deterministic_given_seed(self):
@@ -381,15 +381,16 @@ def test_stderr_matches_exact_second_moments(ct):
     n_paths = 100_000
     report = (simulate_ct_green if ct else simulate_green)(chain, n_paths=n_paths, seed=8)
     assert report.overflow == 0
-    m1, m2, m3, m4 = _visit_moments(dec.g, dec.c, ct)
+    g = visit_matrix(MIN_KERNEL, dec)
+    m1, m2, m3, m4 = _visit_moments(g, dec.c, ct)
     var = m2 - m1**2
-    g_jj = np.diag(dec.g)[None, :]
+    g_jj = np.diag(g)[None, :]
     if ct:
-        np.testing.assert_allclose(m1, dec.g / dec.c, rtol=1e-12)
-        np.testing.assert_allclose(var, (2.0 * dec.g * g_jj - dec.g**2) / dec.c**2, rtol=1e-12)
+        np.testing.assert_allclose(m1, g / dec.c, rtol=1e-12)
+        np.testing.assert_allclose(var, (2.0 * g * g_jj - g**2) / dec.c**2, rtol=1e-12)
     else:
-        np.testing.assert_allclose(m1, dec.g, rtol=1e-12)
-        np.testing.assert_allclose(var, dec.g * (2.0 * g_jj - 1.0) - dec.g**2, rtol=1e-12)
+        np.testing.assert_allclose(m1, g, rtol=1e-12)
+        np.testing.assert_allclose(var, g * (2.0 * g_jj - 1.0) - g**2, rtol=1e-12)
     # Standard deviation of the sample variance at n_paths draws, from the
     # exact central fourth moment; five of them bound each of the 9 entries.
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
