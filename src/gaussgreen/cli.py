@@ -108,6 +108,8 @@ def write_report(doc: dict, out: str | None) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, out)
+        # The temp name is gone; a file made under it since is another's.
+        tmp = None
     except OSError as err:
         raise ParseError(f"cannot write {out}: {err.strerror or err}") from err
     finally:

@@ -51,7 +51,12 @@ class NonPositiveScaleError(ValueError):
 
 
 class QuadratureFailureError(Exception):
-    """Adaptive Simpson refinement exceeded its depth budget."""
+    """Adaptive Simpson refinement exceeded its depth budget.
+
+    A library-only exception: only :func:`adaptive_simpson`, a helper of the
+    dyadic discretization, raises it, and no subcommand calls that, so it
+    has no CLI exit code.
+    """
 
 
 def _require_finite(x: np.ndarray, what: str) -> None:

@@ -148,10 +148,10 @@ _GUIDE_ENTRIES = 1 << 18
 # fit runs as one group; a larger one runs in the fewest groups that fit,
 # each as many start states as fit, and always at least one.  One group's
 # tallies are live at a time.  On a 2-vCPU Xeon VM with one BLAS thread,
-# the verify_mc benchmark (10 000 paths per start) peaks at 62.5-63.9 MB
-# resident at this budget (seeds 1-10), against 56.5-56.7 MB at 2^16
+# the verify_mc benchmark (10 000 paths per start) peaks at 61.3-62.5 MB
+# resident at this budget (seeds 11-20), against 56.0-56.3 MB at 2^16
 # cells, which ran it at 0.7x the ops/s; 2^21 cells ran it no faster and
-# peaked at 78.0-78.3 MB (seeds 1-3), over the benchmark's 5 % memory
+# peaked at 76.2-76.6 MB (seeds 11-13), over the benchmark's 5 % memory
 # bound.
 _GROUP_CELLS = 1 << 20
 
@@ -171,7 +171,8 @@ def _per_start(rngs, rows, edges, draw) -> np.ndarray:
     ``rows`` is sorted by (start, path) and ``edges`` holds the first tally
     offset of each start, so each stream fills its paths in path order.
     """
-    bounds = np.searchsorted(rows, edges)
+    # Python ints: the loop over starts makes no numpy scalar.
+    bounds = np.searchsorted(rows, edges).tolist()
     out = np.empty(rows.size)
     for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
         if hi > lo:
@@ -219,21 +220,18 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
         rng.standard_exponential(out=out)
         out *= scale
 
-    estimate = np.empty((n, n))
-    stderr = np.empty((n, n))
-    overflow = 0
-    streams = np.random.SeedSequence(seed).spawn(n)
-    dtype = float if weigh_sojourns else np.int32
     one = np.int32(1)  # same dtype as the tallies keeps np.add.at on its fast loop
-    group = max(1, _GROUP_CELLS // (n_paths * n))
-    for first in range(0, n, group):
-        starts = np.arange(first, min(n, first + group), dtype=np.intp)
-        rngs = [np.random.default_rng(streams[s]) for s in starts]
-        tallies = np.zeros((starts.size, n_paths, n), dtype=dtype)
-        flat = tallies.reshape(-1)
+
+    # A function of its own, so that allocations in the step loop are cheap
+    # to trace: tracemalloc finds each one's line by scanning its code
+    # object's line table up to it.
+    def walk(flat, starts, rngs) -> int:
+        """Add one group's visits to ``flat``; return the paths cut at ``cap``."""
         edges = np.arange(starts.size + 1, dtype=np.intp) * (n_paths * n)
         # Flat offset of each surviving path's tally row, and its state.
-        rows = np.arange(starts.size * n_paths, dtype=np.intp) * n
+        # Each path array is freed once it is dead, so one step's are live.
+        rows = np.arange(starts.size * n_paths, dtype=np.intp)
+        rows *= n
         states = np.repeat(starts, n_paths)
         if weigh_sojourns:
             flat[rows + states] = _per_start(rngs, rows, edges, sojourns)
@@ -247,21 +245,38 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
             pos = r.astype(np.intp)
             states *= M
             pos += states
-            pos = guide[pos]
+            del states
+            # In place: numpy buffers out only under mode="raise", and no
+            # index wraps, since r < M keeps each below n * M.
+            np.take(guide, pos, out=pos, mode="wrap")
             ahead = (r >= cum_flat[pos]).nonzero()[0]
             while ahead.size:
                 pos[ahead] += 1
                 ahead = ahead[r[ahead] >= cum_flat[pos[ahead]]]
+            del r, ahead
             pos &= M - 1
             alive = pos < n
             rows, states = rows[alive], pos[alive]
+            del pos, alive
             if rows.size == 0:
                 break
             if weigh_sojourns:
                 np.add.at(flat, rows + states, _per_start(rngs, rows, edges, sojourns))
             else:
                 np.add.at(flat, rows + states, one)
-        overflow += int(rows.size)
+        return int(rows.size)
+
+    estimate = np.empty((n, n))
+    stderr = np.empty((n, n))
+    overflow = 0
+    streams = np.random.SeedSequence(seed).spawn(n)
+    dtype = float if weigh_sojourns else np.int32
+    group = max(1, _GROUP_CELLS // (n_paths * n))
+    for first in range(0, n, group):
+        starts = np.arange(first, min(n, first + group), dtype=np.intp)
+        rngs = [np.random.default_rng(streams[s]) for s in starts]
+        tallies = np.zeros((starts.size, n_paths, n), dtype=dtype)
+        overflow += walk(tallies.reshape(-1), starts, rngs)
         # np.mean and np.std(ddof=1), step for step and in their axis-0
         # summation order, from one float64 buffer per start: a copy of the
         # visit counts, or the occupation times themselves.  The counts'
@@ -280,7 +295,7 @@ def _run_paths(chain: ChainSpec, n_paths: int, seed, weigh_sojourns: bool) -> Si
             # The next float copy of the counts is made only once this is freed.
             del f
         # The next group's tallies are allocated only once these are freed.
-        del tallies, flat
+        del tallies
     return SimReport(
         estimate=estimate,
         stderr=stderr,

@@ -1072,6 +1072,19 @@ def test_failed_write_mid_report_keeps_the_old_report(tmp_path, min_kernel_csv, 
         assert out.read_text() == "old report\n"
 
 
+def test_written_report_leaves_its_temp_name_alone(tmp_path, min_kernel_csv, monkeypatch):
+    # Once the temp file has replaced the report, its name may be another
+    # writer's file: a finished write neither tests for it nor unlinks it.
+    touched = []
+    exists, unlink = os.path.exists, os.unlink
+    monkeypatch.setattr(os.path, "exists", lambda path: touched.append(path) or exists(path))
+    monkeypatch.setattr(os, "unlink", lambda path, **kw: touched.append(path) or unlink(path, **kw))
+    out = tmp_path / "check.json"
+    assert main(["check", "--input", str(min_kernel_csv), "--out", str(out)]) == 0
+    assert [p for p in touched if str(p).endswith(".tmp")] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["check.json", "min_kernel.csv"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
 def test_out_report_gets_the_mode_open_gives(tmp_path, min_kernel_csv, umask):
     # The temp file is made 0600; a new report gets 0666 less the umask, as

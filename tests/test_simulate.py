@@ -435,6 +435,23 @@ def test_one_group_of_tallies_at_a_time(monkeypatch):
     assert _traced_peak(simulate_ct_green, chain, 1000, 1) <= 1.8 * group_bytes
 
 
+@pytest.mark.parametrize("run, cell_bytes", [(simulate_green, 4), (simulate_ct_green, 8)])
+def test_one_step_of_path_arrays_at_a_time(run, cell_bytes):
+    from gaussgreen.decomposition import decompose
+    from gaussgreen.kernels import brownian_cov
+
+    # 10 starts of 2000 paths run as one group.  Beside the tallies, a step
+    # that held each path array until the next step rebound it peaked at 6.3
+    # path arrays; one that frees each array once it is dead, at 4.3.
+    dec = decompose(brownian_cov(np.arange(1.0, 11.0)))
+    chain = ChainSpec(T=dec.T, kappa=dec.kappa, c=dec.c)
+    run(chain, 10, 1)
+    n, n_paths = 10, 2000
+    path_bytes = 8 * n * n_paths
+    tallies = cell_bytes * n * n_paths * n
+    assert _traced_peak(run, chain, n_paths, 1) - tallies <= 5 * path_bytes
+
+
 def test_report_to_dict_excludes_timing_by_default():
     _, report = laplace(np.eye(2), [1.0, 1.0], n_samples=100, seed=0)
     doc = report.to_dict()
@@ -518,6 +535,16 @@ class TestMatchesReferenceLoop:
         _assert_matches_reference(chain, 1, 8)
         _assert_matches_reference(chain, 500, 8)
         _assert_matches_reference(CHAIN_2x2, 1, 9)
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_many_starts_few_paths(self, n_paths):
+        # Most starts' paths are dead while a few still step.
+        from helpers import random_substochastic
+
+        rng = np.random.default_rng(22)
+        T = random_substochastic(40, rng)
+        chain = ChainSpec(T=T, kappa=1.0 - T.sum(axis=1), c=1.1)
+        _assert_matches_reference(chain, n_paths, 23)
 
     def test_slow_chain_and_overflow(self, monkeypatch):
         chain = ChainSpec(T=np.array([[0.9]]), kappa=np.array([0.1]))
